@@ -110,12 +110,7 @@ def divergence(field, w: WeightMatrix, d):
             (np.sqrt(m.data / (2.0 * d[row])), m.indices.copy(), m.indptr.copy()),
             shape=(n, n),
         )
-        asym = (field - field.T).tocsr() if sp.issparse(field) else field - field.T
-        if sp.issparse(asym):
-            prod = coeff.multiply(asym)
-        else:
-            prod = coeff.multiply(np.asarray(asym))
-        return np.asarray(prod.sum(axis=1)).ravel()
+        return np.asarray(coeff.multiply(field - field.T).sum(axis=1)).ravel()
     if sp.issparse(field):
         field = field.toarray()
     coeff = np.sqrt(w.entries / (2.0 * d[:, None]))

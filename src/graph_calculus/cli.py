@@ -25,6 +25,7 @@ from .convergence import (
     degree_check,
     fit_rate_xy,
     sweep,
+    sweep_rate_fits,
 )
 from .csvio import (
     format_float,
@@ -74,6 +75,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     run = sub.add_parser("run", help="execute an experiment spec file")
+    run.set_defaults(func=_cmd_run)
     run.add_argument("--config", required=True, help="experiment spec JSON")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--parallelism", type=int, default=1, metavar="K")
@@ -89,12 +91,14 @@ def _build_parser() -> _Parser:
     verify = sub.add_parser(
         "verify", help="run the exact-algebra invariant suite"
     )
+    verify.set_defaults(func=_cmd_verify)
     verify.add_argument("--n", type=int, default=100)
     verify.add_argument("--seeds", type=int, default=5)
 
     deg = sub.add_parser(
         "degree-check", help="single-cell degree asymptotics check"
     )
+    deg.set_defaults(func=_cmd_degree_check)
     deg.add_argument("--manifold", required=True)
     deg.add_argument("--n", type=int, required=True)
     deg.add_argument("--epsilon", type=float, required=True)
@@ -104,6 +108,7 @@ def _build_parser() -> _Parser:
 
     for name in ("grad", "div", "laplacian"):
         op = sub.add_parser(name, help=f"apply {name} to CSV inputs")
+        op.set_defaults(func=_cmd_operator)
         op.add_argument("--cloud", required=True, help="point cloud CSV")
         op.add_argument("--epsilon", type=float, required=True)
         op.add_argument("--tau", type=float, default=0.0)
@@ -118,13 +123,17 @@ def _build_parser() -> _Parser:
                 "--matrix", action="store_true", help="export the Laplacian matrix instead"
             )
 
-    sub.add_parser("list-manifolds", help="emit the manifold registry as JSON")
+    sub.add_parser("list-manifolds", help="emit the manifold registry as JSON").set_defaults(
+        func=_cmd_list_manifolds
+    )
     lf = sub.add_parser("list-functions", help="emit test-function ids as JSON")
+    lf.set_defaults(func=_cmd_list_functions)
     lf.add_argument("--manifold", default=None)
 
     plot = sub.add_parser(
         "plot-data", help="reshape a results CSV into per-curve series"
     )
+    plot.set_defaults(func=_cmd_plot_data)
     plot.add_argument("--results", required=True)
     plot.add_argument("--x", required=True, dest="x_axis")
     plot.add_argument("--y", required=True, dest="y_column")
@@ -135,34 +144,6 @@ def _build_parser() -> _Parser:
 
 # ----------------------------------------------------------------------
 # run
-
-
-def _summary_rate_fits(rows, spec) -> list[dict]:
-    fits = []
-    responses = ["err_rel_median", f"err_abs_{spec.interior_statistic}"]
-    for swept, group in (("N", "epsilon"), ("epsilon", "N")):
-        key = (lambda r: r.epsilon) if group == "epsilon" else (lambda r: r.n)
-        axis = (lambda r: r.n) if swept == "N" else (lambda r: r.epsilon)
-        for response in dict.fromkeys(responses):
-            for gval in sorted({key(r) for r in rows}):
-                grp = [r for r in rows if key(r) == gval]
-                xs = [axis(r) for r in grp]
-                ys = [getattr(r, response) for r in grp]
-                if len(set(xs)) < 3 or any(y <= 0 for y in ys):
-                    continue
-                fit = fit_rate_xy(xs, ys, axis=swept)
-                fits.append(
-                    {
-                        "swept_axis": swept,
-                        "group_by": group,
-                        "group_value": gval,
-                        "response": response,
-                        "slope": fit.slope,
-                        "intercept": fit.intercept,
-                        "r_squared": fit.r_squared,
-                    }
-                )
-    return fits
 
 
 def _cmd_run(args) -> int:
@@ -211,7 +192,7 @@ def _cmd_run(args) -> int:
             }
             for r in result.rows
         ],
-        "rate_fits": _summary_rate_fits(result.rows, spec),
+        "rate_fits": sweep_rate_fits(result.rows, spec.interior_statistic),
         "total_wall_ms": sum(r.wall_ms for r in result.rows),
         "results_csv_sha256": hashlib.sha256(csv_text.encode()).hexdigest(),
     }
@@ -285,16 +266,11 @@ def _cmd_degree_check(args) -> int:
 # operator commands
 
 
-def _load_graph(args):
-    cloud = PointCloud.from_csv(args.cloud)
-    kernel = KernelConfig(epsilon=args.epsilon, truncation_tau=args.tau)
-    w = build_weights(cloud, kernel)
-    return w, degrees(w)
-
-
 def _cmd_operator(args) -> int:
     try:
-        w, d = _load_graph(args)
+        cloud = PointCloud.from_csv(args.cloud)
+        w = build_weights(cloud, KernelConfig(epsilon=args.epsilon, truncation_tau=args.tau))
+        d = degrees(w)
         if args.command == "grad":
             f = read_vector_csv(args.function)
             out = gradient(f, w, d)
@@ -397,21 +373,7 @@ def _cmd_plot_data(args) -> int:
 def main(argv=None) -> int:
     _configure_logging()
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "degree-check":
-        return _cmd_degree_check(args)
-    if args.command in ("grad", "div", "laplacian"):
-        return _cmd_operator(args)
-    if args.command == "list-manifolds":
-        return _cmd_list_manifolds(args)
-    if args.command == "list-functions":
-        return _cmd_list_functions(args)
-    if args.command == "plot-data":
-        return _cmd_plot_data(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return args.func(args)
 
 
 if __name__ == "__main__":

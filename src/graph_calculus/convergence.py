@@ -57,6 +57,7 @@ __all__ = [
     "sweep",
     "fit_rate",
     "fit_rate_xy",
+    "sweep_rate_fits",
     "estimator_spread_study",
     "classify_regime",
 ]
@@ -74,6 +75,27 @@ DEFAULT_TAU = 1e-8
 
 # ----------------------------------------------------------------------
 # experiment specification
+
+
+def _check_choice(name: str, value: str, choices: tuple) -> None:
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+
+
+def _check_mode(mode: str, tau: float, n_values: Sequence[int]) -> None:
+    """Reject a storage mode, tau and cloud sizes that do not fit together."""
+    _check_choice("mode", mode, _MODES)
+    if mode == "dense":
+        if tau != 0.0:
+            raise ValueError("dense mode is exact: tau must be 0")
+        too_big = [n for n in n_values if n > DENSE_LIMIT]
+        if too_big:
+            raise ValueError(
+                f"dense mode is limited to N <= {DENSE_LIMIT}; "
+                f"use sparse mode for N in {too_big}"
+            )
+    elif not (0.0 < tau < 1.0):
+        raise ValueError("sparse mode requires 0 < tau < 1")
 
 
 @dataclass(frozen=True)
@@ -114,26 +136,9 @@ class ExperimentSpec:
         if int(self.master_seed) < 0:
             raise ValueError("master_seed must be a nonnegative 64-bit integer")
         object.__setattr__(self, "master_seed", int(self.master_seed))
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.sampling not in _SAMPLINGS:
-            raise ValueError(f"sampling must be one of {_SAMPLINGS}, got {self.sampling!r}")
-        if self.interior_statistic not in _STATISTICS:
-            raise ValueError(
-                f"interior_statistic must be one of {_STATISTICS}, got {self.interior_statistic!r}"
-            )
-        if self.mode == "dense":
-            if self.tau != 0.0:
-                raise ValueError("dense mode is exact: tau must be 0")
-            too_big = [n for n in self.n_list if n > DENSE_LIMIT]
-            if too_big:
-                raise ValueError(
-                    f"dense mode is limited to N <= {DENSE_LIMIT}; "
-                    f"use sparse mode for N in {too_big}"
-                )
-        else:
-            if not (0.0 < self.tau < 1.0):
-                raise ValueError("sparse mode requires 0 < tau < 1")
+        _check_mode(self.mode, self.tau, self.n_list)
+        _check_choice("sampling", self.sampling, _SAMPLINGS)
+        _check_choice("interior_statistic", self.interior_statistic, _STATISTICS)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentSpec":
@@ -331,6 +336,7 @@ def _check_neighbor_density(m: ManifoldDescriptor, n: int, epsilon: float) -> bo
 def _make_cloud(
     m: ManifoldDescriptor, n: int, seed: int, sampling: str, pin_anchor: bool
 ) -> PointCloud:
+    _check_choice("sampling", sampling, _SAMPLINGS)
     if sampling == "grid":
         cloud = grid_sample(m, n)
     else:
@@ -362,18 +368,7 @@ def lemma_check(
     anchor so across-seed spread can be measured at a fixed location.
     """
     m = get_manifold(manifold) if isinstance(manifold, str) else manifold
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    if sampling not in _SAMPLINGS:
-        raise ValueError(f"sampling must be one of {_SAMPLINGS}, got {sampling!r}")
-    if mode == "dense" and tau != 0.0:
-        raise ValueError("dense mode is exact: tau must be 0")
-    if mode == "sparse" and not (0.0 < tau < 1.0):
-        raise ValueError("sparse mode requires 0 < tau < 1")
-    if mode == "dense" and n > DENSE_LIMIT:
-        raise ValueError(
-            f"dense mode is limited to N <= {DENSE_LIMIT} (got {n}); use sparse mode"
-        )
+    _check_mode(mode, tau, (n,))
 
     cloud = _make_cloud(m, n, seed, sampling, pin_anchor)
     warned = _check_neighbor_density(m, cloud.n_points, epsilon)
@@ -427,8 +422,6 @@ def degree_check(
     too small for the given N. That regime is reported, not hidden.
     """
     m = get_manifold(manifold) if isinstance(manifold, str) else manifold
-    if sampling not in _SAMPLINGS:
-        raise ValueError(f"sampling must be one of {_SAMPLINGS}, got {sampling!r}")
     cloud = _make_cloud(m, n, seed, sampling, pin_anchor=False)
     warned = _check_neighbor_density(m, cloud.n_points, epsilon)
     d = degrees_from_cloud(cloud, KernelConfig(epsilon=epsilon, truncation_tau=tau))
@@ -623,6 +616,37 @@ def fit_rate(rows: Sequence[CellResult], swept_axis: str, response_column: str) 
     xs = [getter(r) for r in rows]
     ys = [getattr(r, response_column) for r in rows]
     return fit_rate_xy(xs, ys, axis=swept_axis)
+
+
+def sweep_rate_fits(rows: Sequence[CellResult], interior_statistic: str) -> list[dict]:
+    """Every log-log rate fit a sweep's result table supports, as plain dicts.
+
+    Fits err_rel_median and err_abs_<interior_statistic> along N within each
+    epsilon, then along epsilon within each N. A group with fewer than 3
+    distinct swept values or a nonpositive response has no fit.
+    """
+    fits = []
+    responses = dict.fromkeys(("err_rel_median", f"err_abs_{interior_statistic}"))
+    for swept, group in (("N", "epsilon"), ("epsilon", "N")):
+        key = _AXIS_GETTERS[group]
+        for response in responses:
+            for value in sorted({key(r) for r in rows}):
+                try:
+                    fit = fit_rate([r for r in rows if key(r) == value], swept, response)
+                except ValueError:
+                    continue
+                fits.append(
+                    {
+                        "swept_axis": swept,
+                        "group_by": group,
+                        "group_value": value,
+                        "response": response,
+                        "slope": fit.slope,
+                        "intercept": fit.intercept,
+                        "r_squared": fit.r_squared,
+                    }
+                )
+    return fits
 
 
 # ----------------------------------------------------------------------

@@ -21,8 +21,9 @@ __all__ = [
 # float64 at 4096). Above this, callers must truncate (tau > 0 -> CSR).
 DENSE_LIMIT = 4096
 
-# Target size in bytes for the temporary (rows, N, dim) difference tensor
-# used by the blocked pairwise-distance loops.
+# Sets the side r of the square kernel blocks: the largest r for which
+# r * N * dim float64 values fit in this many bytes. Degrees are summed block
+# by block, so changing it moves them in the last bits.
 _BLOCK_BYTES = 48_000_000
 
 
@@ -59,8 +60,6 @@ class PointCloud:
         """Load a cloud from CSV: one row per point, rows starting with '#' skipped."""
         try:
             pts = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-        except OSError:
-            raise
         except ValueError as exc:
             raise ValueError(f"could not parse point cloud CSV {path}: {exc}") from exc
         return cls(points=pts)
@@ -107,45 +106,58 @@ class WeightMatrix:
         return np.asarray(self.entries)
 
 
-def _sq_dist_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Plain sum of squared coordinate differences. This form is bit-exact
-    # symmetric under swapping a and b, which the norm-expansion GEMM trick
-    # is not; weight-matrix symmetry relies on it.
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
-
-
-def _kernel_block(a: np.ndarray, b: np.ndarray, eps: float, tau: float) -> np.ndarray:
-    """Gaussian weights between two point blocks, entries below tau zeroed.
-
-    Evaluated in place on the squared-distance buffer; fully vectorized exp
-    beats masked gather/scatter here (the loops are memory-bandwidth bound).
-    """
-    block = _sq_dist_block(a, b)
-    np.multiply(block, -1.0 / (2.0 * eps), out=block)
-    np.exp(block, out=block)
-    if tau > 0.0:
-        block[block < tau] = 0.0
-    return block
-
-
 def _block_rows(n: int, dim: int) -> int:
     return max(1, min(n, _BLOCK_BYTES // (8 * max(1, n * dim))))
+
+
+def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig):
+    """Yield (rows, cols, block) for each block on or above the diagonal of W.
+
+    rows and cols are index slices; block holds the kernel weights between
+    them, entries below tau zeroed. Squared distances use the norm expansion
+    |u|^2 + |v|^2 - 2 u.v (one BLAS product), whose roundoff is not symmetric
+    in u and v, so a diagonal block is not exactly symmetric.
+    """
+    x = cloud.points
+    n = cloud.n_points
+    scale = -1.0 / (2.0 * kernel.epsilon)
+    tau = kernel.truncation_tau
+    sq_norms = np.einsum("ij,ij->i", x, x)
+    step = _block_rows(n, cloud.ambient_dim)
+    for i0 in range(0, n, step):
+        rows = slice(i0, min(i0 + step, n))
+        for j0 in range(i0, n, step):
+            cols = slice(j0, min(j0 + step, n))
+            block = x[rows] @ x[cols].T
+            np.multiply(block, -2.0, out=block)
+            block += sq_norms[rows, None]
+            block += sq_norms[None, cols]
+            np.maximum(block, 0.0, out=block)  # GEMM roundoff can dip below 0
+            if j0 == i0:
+                # self-distances are 0 by definition; roundoff here would be
+                # amplified by 1/(2 eps) into the self-weight
+                np.fill_diagonal(block, 0.0)
+            np.multiply(block, scale, out=block)
+            np.exp(block, out=block)
+            if tau > 0.0:
+                block[block < tau] = 0.0
+            yield rows, cols, block
 
 
 def build_weights(cloud: PointCloud, kernel: KernelConfig) -> WeightMatrix:
     """Build W[u][v] = exp(-|u - v|^2 / (2 epsilon)), zeroed below truncation_tau.
 
-    Each unordered pair is computed once (upper triangle) and mirrored, so the
-    result is symmetric bit-for-bit. With tau == 0 the result is dense and the
-    diagonal is exactly 1; with tau > 0 it is CSR, keeping only entries >= tau
-    (the diagonal always survives since tau < 1).
+    The kernel blocks come from the block loop shared with
+    degrees_from_cloud, with squared distances from the norm expansion
+    |u|^2 + |v|^2 - 2 u.v. Each unordered block is computed once and mirrored
+    (a diagonal block keeps its upper triangle), so the result is symmetric
+    bit-for-bit. With tau == 0 the result is dense and the diagonal is
+    exactly 1; with tau > 0 it is CSR, keeping only entries >= tau (the
+    diagonal always survives since tau < 1).
     """
-    x = cloud.points
     n = cloud.n_points
     eps = kernel.epsilon
     tau = kernel.truncation_tau
-    rows_per_block = _block_rows(n, cloud.ambient_dim)
 
     if tau == 0.0:
         if n > DENSE_LIMIT:
@@ -154,34 +166,25 @@ def build_weights(cloud: PointCloud, kernel: KernelConfig) -> WeightMatrix:
                 f"(got {n}); set truncation_tau > 0 for sparse storage"
             )
         w = np.empty((n, n), dtype=np.float64)
-        for i0 in range(0, n, rows_per_block):
-            i1 = min(i0 + rows_per_block, n)
-            for j0 in range(i0, n, rows_per_block):
-                j1 = min(j0 + rows_per_block, n)
-                block = _kernel_block(x[i0:i1], x[j0:j1], eps, 0.0)
-                if j0 > i0:
-                    w[i0:i1, j0:j1] = block
-                    w[j0:j1, i0:i1] = block.T
-                else:
-                    # diagonal block: keep the upper triangle, mirror the rest
-                    w[i0:i1, j0:j1] = np.triu(block) + np.triu(block, 1).T
+        for rows, cols, block in _kernel_blocks(cloud, kernel):
+            if rows != cols:
+                w[rows, cols] = block
+                w[cols, rows] = block.T
+            else:
+                w[rows, cols] = np.triu(block) + np.triu(block, 1).T
         return WeightMatrix(entries=w, epsilon=eps, truncation_tau=0.0)
 
-    rows, cols, vals = [], [], []
-    for i0 in range(0, n, rows_per_block):
-        i1 = min(i0 + rows_per_block, n)
-        for j0 in range(i0, n, rows_per_block):
-            j1 = min(j0 + rows_per_block, n)
-            block = _kernel_block(x[i0:i1], x[j0:j1], eps, tau)
-            keep = block >= tau
-            if j0 == i0:
-                keep &= np.triu(np.ones(block.shape, dtype=bool))
-            bi, bj = np.nonzero(keep)
-            rows.append((bi + i0).astype(np.int32))
-            cols.append((bj + j0).astype(np.int32))
-            vals.append(block[keep])
+    row_ids, col_ids, vals = [], [], []
+    for rows, cols, block in _kernel_blocks(cloud, kernel):
+        keep = block >= tau
+        if rows == cols:
+            keep = np.triu(keep)  # the lower triangle comes from the mirror below
+        bi, bj = np.nonzero(keep)
+        row_ids.append((bi + rows.start).astype(np.int32))
+        col_ids.append((bj + cols.start).astype(np.int32))
+        vals.append(block[keep])
     upper = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (np.concatenate(vals), (np.concatenate(row_ids), np.concatenate(col_ids))),
         shape=(n, n),
     ).tocsr()
     w = (upper + sp.triu(upper, k=1).T).tocsr()
@@ -199,43 +202,16 @@ def degrees(w: WeightMatrix) -> np.ndarray:
 def degrees_from_cloud(cloud: PointCloud, kernel: KernelConfig) -> np.ndarray:
     """Degrees computed straight from the cloud, never materializing W.
 
-    Same kernel and truncation semantics as build_weights followed by
-    degrees; intended for large N where even CSR storage is wasteful
-    (degree sweeps at N ~ 2e4). Distances here use the norm-expansion
-    identity |u-v|^2 = |u|^2 + |v|^2 - 2 u.v (a BLAS product, about twice
-    as fast blockwise), which agrees with the direct form to ~1e-15
-    relative; that is far inside the 1e-12 N row-sum consistency budget,
-    and the bit-exact-symmetry requirement applies to stored weight
-    matrices, not to degree statistics.
+    Same kernel blocks and truncation as build_weights followed by degrees;
+    intended for large N where even CSR storage is wasteful (degree sweeps
+    at N ~ 2e4). Row sums of a diagonal block run over its full square, so
+    they can differ from the stored-W degrees at ~1e-15 relative, far
+    inside the 1e-12 N row-sum consistency budget.
     """
-    x = cloud.points
-    n = cloud.n_points
-    eps = kernel.epsilon
-    tau = kernel.truncation_tau
-    sq_norms = np.einsum("ij,ij->i", x, x)
-    rows_per_block = _block_rows(n, cloud.ambient_dim)
-    d = np.zeros(n, dtype=np.float64)
-    for i0 in range(0, n, rows_per_block):
-        i1 = min(i0 + rows_per_block, n)
-        for j0 in range(i0, n, rows_per_block):
-            j1 = min(j0 + rows_per_block, n)
-            block = x[i0:i1] @ x[j0:j1].T
-            np.multiply(block, -2.0, out=block)
-            block += sq_norms[i0:i1, None]
-            block += sq_norms[None, j0:j1]
-            np.maximum(block, 0.0, out=block)  # GEMM roundoff can dip below 0
-            if j0 == i0:
-                # self-distances are 0 by definition; roundoff here would be
-                # amplified by 1/(2 eps) into the self-weight
-                np.fill_diagonal(block, 0.0)
-            np.multiply(block, -1.0 / (2.0 * eps), out=block)
-            np.exp(block, out=block)
-            if tau > 0.0:
-                block[block < tau] = 0.0
-            d[i0:i1] += block.sum(axis=1)
-            if j0 > i0:
-                # off-diagonal block serves both row and column vertices;
-                # diagonal blocks are computed square, so their row sums
-                # already carry the full within-block contribution.
-                d[j0:j1] += block.sum(axis=0)
+    d = np.zeros(cloud.n_points, dtype=np.float64)
+    for rows, cols, block in _kernel_blocks(cloud, kernel):
+        d[rows] += block.sum(axis=1)
+        if rows != cols:
+            # an off-diagonal block serves both its row and column vertices
+            d[cols] += block.sum(axis=0)
     return d

@@ -185,6 +185,49 @@ class TestRateFit:
         assert fit_rate(rows, "N", "err_abs_max").slope == pytest.approx(-1.0, abs=1e-12)
         assert fit_rate(rows, "N", "err_rel_median").slope == pytest.approx(-0.5, abs=1e-12)
 
+    def test_sweep_rate_fits_groups_and_skips(self):
+        def row(n, eps, err_abs):
+            return CellResult(
+                manifold="circle",
+                function="sin_theta",
+                n=n,
+                epsilon=eps,
+                seed=0,
+                mode="dense",
+                err_abs_median=err_abs,
+                err_abs_mean=1.0,
+                err_abs_max=1.0,
+                err_rel_median=5.0 / math.sqrt(n),
+                degree_ratio_mean=0.0,
+                degree_ratio_dev=0.0,
+                wall_ms=1.0,
+                trial=0,
+                sampling="random",
+                regime="bias",
+            )
+
+        ns = (10, 100, 1000)
+        # eps=0.02 has a zero response, so its err_abs_median fit is skipped;
+        # two epsilon values are too few for any fit along epsilon
+        rows = [row(n, 0.01, 1.0 / n) for n in ns] + [row(n, 0.02, 0.0) for n in ns]
+        fits = conv.sweep_rate_fits(rows, "median")
+        assert [(f["group_value"], f["response"]) for f in fits] == [
+            (0.01, "err_rel_median"),
+            (0.02, "err_rel_median"),
+            (0.01, "err_abs_median"),
+        ]
+        assert all(f["swept_axis"] == "N" and f["group_by"] == "epsilon" for f in fits)
+        assert [f["slope"] for f in fits] == pytest.approx([-0.5, -0.5, -1.0], abs=1e-12)
+        assert list(fits[0]) == [
+            "swept_axis",
+            "group_by",
+            "group_value",
+            "response",
+            "slope",
+            "intercept",
+            "r_squared",
+        ]
+
     def test_rows_interface_validation(self):
         with pytest.raises(ValueError, match="swept_axis"):
             fit_rate([], "seed", "err_abs_max")

@@ -10,11 +10,29 @@ from graph_calculus import (
     degrees,
     degrees_from_cloud,
 )
+from graph_calculus import graph_core
 
 
 def random_cloud(n, dim, seed):
     rng = np.random.default_rng(seed)
     return PointCloud(points=rng.standard_normal((n, dim)))
+
+
+@pytest.fixture
+def split_blocks(monkeypatch):
+    """Shrink the kernel block so an (n, dim) cloud spans several row blocks.
+
+    At the default block size every test cloud here fits in one diagonal
+    block, which would leave the off-diagonal mirroring untested. The last
+    block is ragged (rows does not divide n).
+    """
+
+    def split(n, dim, rows):
+        monkeypatch.setattr(graph_core, "_BLOCK_BYTES", 8 * n * dim * rows)
+        assert graph_core._block_rows(n, dim) == rows < n
+        assert n % rows != 0
+
+    return split
 
 
 # the worked 3-point example: (0,0), (1,0), (0,2) with eps = 1
@@ -107,6 +125,33 @@ class TestBuildWeights:
         diff = w.entries - w.entries.T
         assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
+    def test_several_blocks_match_pairwise_formula(self, split_blocks):
+        cloud = random_cloud(200, 5, 2)
+        split_blocks(200, 5, 37)
+        w = build_weights(cloud, KernelConfig(epsilon=0.8)).entries
+        assert np.abs(w - w.T).max() == 0.0
+        x = cloud.points
+        sq_dist = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+        # GEMM distances err by ~1e-16 |x|^2, i.e. ~1e-14 relative in w here
+        np.testing.assert_allclose(w, np.exp(-sq_dist / (2 * 0.8)), rtol=1e-12, atol=0.0)
+
+    def test_sparse_symmetry_is_bit_exact_across_blocks(self, split_blocks):
+        cloud = random_cloud(150, 3, 4)
+        split_blocks(150, 3, 40)
+        w = build_weights(cloud, KernelConfig(epsilon=0.3, truncation_tau=1e-5))
+        diff = w.entries - w.entries.T
+        assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
+
+    def test_truncation_consistency_across_blocks(self, split_blocks):
+        cloud = random_cloud(120, 3, 6)
+        split_blocks(120, 3, 50)
+        tau = 1e-4
+        dense = build_weights(cloud, KernelConfig(epsilon=0.4)).entries
+        trunc = build_weights(cloud, KernelConfig(epsilon=0.4, truncation_tau=tau)).toarray()
+        kept = trunc != 0
+        assert np.array_equal(trunc[kept], dense[kept])
+        assert dense[~kept].max() < tau
+
     def test_epsilon_monotonicity(self):
         cloud = random_cloud(40, 3, 5)
         w_small = build_weights(cloud, KernelConfig(epsilon=0.5)).entries
@@ -186,9 +231,9 @@ class TestDegreesFromCloud:
         d_route = degrees(build_weights(cloud, kernel))
         assert np.abs(d_direct - d_route).max() <= 1e-12 * 230
 
-    def test_handles_blocking_boundaries(self):
-        # force several blocks by using a cloud larger than one block row
+    def test_handles_blocking_boundaries(self, split_blocks):
         cloud = random_cloud(1201, 2, 13)
+        split_blocks(1201, 2, 300)  # four full row blocks and a one-row fifth
         kernel = KernelConfig(epsilon=0.2, truncation_tau=1e-6)
         d_direct = degrees_from_cloud(cloud, kernel)
         d_route = degrees(build_weights(cloud, kernel))
