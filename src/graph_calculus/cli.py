@@ -147,6 +147,9 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_run(args) -> int:
+    if args.parallelism < 1:
+        print(f"error: --parallelism must be >= 1, got {args.parallelism}", file=sys.stderr)
+        return EXIT_CONFIG
     config = Path(args.config)
     if not config.is_file():
         print(f"error: config file not found: {config}", file=sys.stderr)
@@ -168,7 +171,7 @@ def _cmd_run(args) -> int:
         print(f"error: output directory not writable: {out_dir} ({exc})", file=sys.stderr)
         return EXIT_CONFIG
 
-    result = sweep(spec, parallelism=max(1, args.parallelism))
+    result = sweep(spec, parallelism=args.parallelism)
     csv_text = results_csv_text(result.rows, include_timings=args.timings)
     write_text_atomic(out_dir / "results.csv", csv_text)
 

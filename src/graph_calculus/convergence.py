@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -28,7 +29,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import linregress
 
 from .calculus import laplacian_apply
 from .graph_core import (
@@ -311,7 +311,7 @@ def _degree_stats(d: np.ndarray, m: ManifoldDescriptor, points: np.ndarray, epsi
     ratio = d * (m.volume / norm)
     prediction = 1.0 + epsilon * m.scalar_curvature(points) / 6.0
     residual = ratio - prediction
-    return ratio, DegreeStats(
+    return DegreeStats(
         ratio_mean=float(ratio.mean()),
         ratio_dev=float(ratio.std()),
         residual_mean=float(residual.mean()),
@@ -321,21 +321,13 @@ def _degree_stats(d: np.ndarray, m: ManifoldDescriptor, points: np.ndarray, epsi
     )
 
 
-def _check_neighbor_density(m: ManifoldDescriptor, n: int, epsilon: float) -> bool:
-    expected = (2.0 * np.pi * epsilon) ** (m.intrinsic_dim / 2.0) * n / m.volume
-    if expected < 1.0:
-        warnings.warn(
-            f"kernel sees too few neighbors on {m.name}: "
-            f"(2 pi eps)^(m/2) N / vol = {expected:.3g} < 1",
-            stacklevel=3,
-        )
-        return True
-    return False
+def _cell_setup(manifold, n: int, epsilon: float, seed: int, sampling: str, pin_anchor: bool):
+    """Manifold, cloud, low-neighbor flag and regime label of one cell.
 
-
-def _make_cloud(
-    m: ManifoldDescriptor, n: int, seed: int, sampling: str, pin_anchor: bool
-) -> PointCloud:
+    Warns (pointing at the caller of the public check) when the kernel
+    sees fewer than one neighbor on average.
+    """
+    m = get_manifold(manifold)
     _check_choice("sampling", sampling, _SAMPLINGS)
     if sampling == "grid":
         cloud = grid_sample(m, n)
@@ -345,7 +337,17 @@ def _make_cloud(
         pts = cloud.points.copy()
         pts[0] = m.anchor
         cloud = PointCloud(points=pts)
-    return cloud
+    n_points = cloud.n_points
+    expected = (2.0 * np.pi * epsilon) ** (m.intrinsic_dim / 2.0) * n_points / m.volume
+    warned = bool(expected < 1.0)
+    if warned:
+        warnings.warn(
+            f"kernel sees too few neighbors on {m.name}: "
+            f"(2 pi eps)^(m/2) N / vol = {expected:.3g} < 1",
+            stacklevel=3,
+        )
+    regime = classify_regime(m.intrinsic_dim, m.volume, n_points, epsilon, sampling)
+    return m, cloud, warned, regime
 
 
 def lemma_check(
@@ -367,11 +369,8 @@ def lemma_check(
     same cloud. pin_anchor replaces point 0 with the manifold's canonical
     anchor so across-seed spread can be measured at a fixed location.
     """
-    m = get_manifold(manifold) if isinstance(manifold, str) else manifold
     _check_mode(mode, tau, (n,))
-
-    cloud = _make_cloud(m, n, seed, sampling, pin_anchor)
-    warned = _check_neighbor_density(m, cloud.n_points, epsilon)
+    m, cloud, warned, regime = _cell_setup(manifold, n, epsilon, seed, sampling, pin_anchor)
     f, reference = eval_pair(m, fn_id, cloud)
 
     w = build_weights(cloud, KernelConfig(epsilon=epsilon, truncation_tau=tau))
@@ -383,7 +382,6 @@ def lemma_check(
     normalizer = float(np.abs(reference).max())
     if normalizer == 0.0:
         normalizer = 1.0  # relative error degrades to absolute for zero targets
-    _, dstats = _degree_stats(d, m, cloud.points, epsilon)
     return LemmaCheckResult(
         manifold=m.name,
         function=fn_id,
@@ -400,8 +398,8 @@ def lemma_check(
         err_abs_mean=float(abs_err.mean()),
         err_abs_max=float(abs_err.max()),
         err_rel_median=float(np.median(abs_err) / normalizer),
-        degree_stats=dstats,
-        regime=classify_regime(m.intrinsic_dim, m.volume, cloud.n_points, epsilon, sampling),
+        degree_stats=_degree_stats(d, m, cloud.points, epsilon),
+        regime=regime,
         low_neighbor_warning=warned,
     )
 
@@ -421,19 +419,16 @@ def degree_check(
     share vol / ((N-1) (2 pi eps)^{m/2}) that dominates r when epsilon is
     too small for the given N. That regime is reported, not hidden.
     """
-    m = get_manifold(manifold) if isinstance(manifold, str) else manifold
-    cloud = _make_cloud(m, n, seed, sampling, pin_anchor=False)
-    warned = _check_neighbor_density(m, cloud.n_points, epsilon)
+    m, cloud, warned, regime = _cell_setup(manifold, n, epsilon, seed, sampling, pin_anchor=False)
     d = degrees_from_cloud(cloud, KernelConfig(epsilon=epsilon, truncation_tau=tau))
-    _, stats = _degree_stats(d, m, cloud.points, epsilon)
     return DegreeCheckResult(
         manifold=m.name,
         n=cloud.n_points,
         epsilon=float(epsilon),
         seed=int(seed),
         sampling=sampling,
-        stats=stats,
-        regime=classify_regime(m.intrinsic_dim, m.volume, cloud.n_points, epsilon, sampling),
+        stats=_degree_stats(d, m, cloud.points, epsilon),
+        regime=regime,
         low_neighbor_warning=warned,
     )
 
@@ -520,13 +515,26 @@ def _run_cell(spec: ExperimentSpec, n: int, epsilon: float, trial: int):
     )
 
 
+def _map_jobs(fn, jobs: list, parallelism: int) -> list:
+    """[fn(j) for j in jobs], on min(parallelism, len(jobs), cpu count) threads.
+
+    Results come back in job order; a width of 1 or less runs serially.
+    """
+    width = min(int(parallelism), len(jobs), os.cpu_count() or 1)
+    if width <= 1:
+        return [fn(j) for j in jobs]
+    with ThreadPoolExecutor(max_workers=width) as pool:
+        return list(pool.map(fn, jobs))
+
+
 def sweep(spec: ExperimentSpec, parallelism: int = 1) -> SweepResult:
     """Run every (N, epsilon, trial) cell of the spec.
 
     Cells are independent; with parallelism > 1 they run on a thread pool
-    (the heavy numpy kernels release the GIL). The result table is in spec
-    order regardless of completion order, and cell seeds are derived from
-    values, so the numbers are identical at any parallelism.
+    of min(parallelism, cells, cpu count) workers (the heavy numpy kernels
+    release the GIL). The result table is in spec order regardless of
+    completion order, and cell seeds are derived from values, so the
+    numbers are identical at any parallelism.
     """
     cells = [
         (n, eps, t)
@@ -545,11 +553,7 @@ def sweep(spec: ExperimentSpec, parallelism: int = 1) -> SweepResult:
         spec.mode,
         spec.sampling,
     )
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=int(parallelism)) as pool:
-            outcomes = list(pool.map(lambda c: _run_cell(spec, *c), cells))
-    else:
-        outcomes = [_run_cell(spec, *c) for c in cells]
+    outcomes = _map_jobs(lambda c: _run_cell(spec, *c), cells, parallelism)
     rows = tuple(o for o in outcomes if isinstance(o, CellResult))
     failures = tuple(o for o in outcomes if isinstance(o, CellFailure))
     return SweepResult(spec=spec, rows=rows, failures=failures)
@@ -579,11 +583,20 @@ def fit_rate_xy(x: Sequence[float], y: Sequence[float], axis: str = "x") -> Rate
         raise ValueError("swept-axis values must be positive")
     if not (y > 0).all():
         raise ValueError("responses must be positive for log-log fitting")
-    res = linregress(np.log(x), np.log(y))
+    lx, ly = np.log(x), np.log(y)
+    # The same operations as SciPy's linregress, so the fit matches it bit
+    # for bit; the checks above keep ssxm > 0.
+    ssxm, ssxym, _, ssym = np.cov(lx, ly, bias=True).flat
+    slope = ssxym / ssxm
+    intercept = np.mean(ly) - slope * np.mean(lx)
+    if ssym == 0.0:
+        r = np.nan if ssxym == 0.0 else 0.0
+    else:
+        r = min(1.0, max(-1.0, ssxym / np.sqrt(ssxm * ssym)))
     return RateFit(
-        slope=float(res.slope),
-        intercept=float(res.intercept),
-        r_squared=float(res.rvalue**2),
+        slope=float(slope),
+        intercept=float(intercept),
+        r_squared=float(r**2),
         axis=axis,
     )
 
@@ -689,11 +702,7 @@ def estimator_spread_study(
         )
         return float(res.estimate[0])
 
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=int(parallelism)) as pool:
-            values = list(pool.map(one, jobs))
-    else:
-        values = [one(j) for j in jobs]
+    values = _map_jobs(one, jobs, parallelism)
     per_n = np.asarray(values, dtype=np.float64).reshape(len(n_list), int(n_seeds))
     spreads = tuple(float(s) for s in per_n.std(axis=1))
     fit = fit_rate_xy(n_list, spreads, axis="N")

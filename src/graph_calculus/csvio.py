@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-import tempfile
+import secrets
 from pathlib import Path
 
 import numpy as np
@@ -36,9 +36,13 @@ def format_float(x: float) -> str:
 
 
 def write_text_atomic(path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a torn file."""
+    """Write via a sibling temp file and rename, so readers never see a torn file.
+
+    Mode 0666 lets the umask set the permissions, as for a plain open(path, "w").
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

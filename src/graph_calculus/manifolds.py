@@ -69,10 +69,6 @@ class ManifoldDescriptor:
     _sampler: Callable = None
     _grid: Callable = None
 
-    def e_of(self, points: np.ndarray) -> np.ndarray:
-        """Degree-expansion curvature factor E(u) = S(u) / 3."""
-        return self.scalar_curvature(points) / 3.0
-
 
 def _circle_points(theta: np.ndarray) -> np.ndarray:
     return np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -234,18 +230,21 @@ def manifold_names() -> list[str]:
     return sorted(MANIFOLDS)
 
 
-def get_manifold(name: str) -> ManifoldDescriptor:
+def get_manifold(manifold: ManifoldDescriptor | str) -> ManifoldDescriptor:
+    """The descriptor for a manifold id; a descriptor is returned as is."""
+    if isinstance(manifold, ManifoldDescriptor):
+        return manifold
     try:
-        return MANIFOLDS[name]
+        return MANIFOLDS[manifold]
     except KeyError:
         raise ValueError(
-            f"unknown manifold id {name!r}; valid ids: {', '.join(manifold_names())}"
+            f"unknown manifold id {manifold!r}; valid ids: {', '.join(manifold_names())}"
         ) from None
 
 
 def sample(manifold: ManifoldDescriptor | str, n: int, seed: int) -> PointCloud:
     """Draw n i.i.d. uniform points on the manifold (PCG64, deterministic in seed)."""
-    m = get_manifold(manifold) if isinstance(manifold, str) else manifold
+    m = get_manifold(manifold)
     if n < 2:
         raise ValueError(f"need n >= 2 sample points, got {n}")
     rng = np.random.default_rng(int(seed))
@@ -259,7 +258,7 @@ def grid_sample(manifold: ManifoldDescriptor | str, n: int) -> PointCloud:
     from sampling fluctuation. The torus grid rounds n up to the next
     perfect square; the sphere uses a Fibonacci lattice.
     """
-    m = get_manifold(manifold) if isinstance(manifold, str) else manifold
+    m = get_manifold(manifold)
     if n < 2:
         raise ValueError(f"need n >= 2 grid points, got {n}")
     return PointCloud(points=m._grid(int(n)))
@@ -270,7 +269,7 @@ def eval_pair(manifold: ManifoldDescriptor | str, fn_id: str, cloud: PointCloud)
 
     Returns (f, lap) as two length-N arrays over the cloud's points.
     """
-    m = get_manifold(manifold) if isinstance(manifold, str) else manifold
+    m = get_manifold(manifold)
     try:
         fn = m.functions[fn_id]
     except KeyError:

@@ -1,4 +1,9 @@
 import json
+import os
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +25,7 @@ from graph_calculus.csvio import (
     read_matrix_csv,
     read_vector_csv,
     write_matrix_csv,
+    write_text_atomic,
     write_vector_csv,
 )
 
@@ -138,6 +144,26 @@ class TestRun:
         out = tmp_path / "clean"
         assert main(["run", "--config", str(spec_file), "--out", str(out)]) == 0
         assert not [p for p in out.iterdir() if p.suffix == ".tmp"]
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_parallelism_below_one_exit_1(self, spec_file, tmp_path, capsys, k):
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(spec_file), "--out", str(out), "--parallelism", k])
+        assert code == 1
+        assert f"--parallelism must be >= 1, got {k}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_output_files_follow_umask(self, tmp_path):
+        previous = os.umask(0o022)
+        try:
+            write_text_atomic(tmp_path / "open.txt", "x\n")
+            os.umask(0o077)
+            write_text_atomic(tmp_path / "private.txt", "x\n")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE((tmp_path / "open.txt").stat().st_mode) == 0o644
+        assert stat.S_IMODE((tmp_path / "private.txt").stat().st_mode) == 0o600
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["open.txt", "private.txt"]
 
     def test_summary_hash_matches_file(self, spec_file, tmp_path):
         import hashlib
@@ -368,3 +394,18 @@ class TestArgumentHandling:
         monkeypatch.setenv("GRAPH_CALCULUS_LOG", "verbose")
         assert main(["list-manifolds"]) == 0
         assert "GRAPH_CALCULUS_LOG" in capsys.readouterr().err
+
+    def test_cli_import_leaves_scipy_stats_out(self):
+        # A fresh interpreter: this test process may already hold scipy.stats.
+        import graph_calculus
+
+        src = str(Path(graph_calculus.__file__).resolve().parents[1])
+        probe = (
+            "import sys, graph_calculus.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"

@@ -27,6 +27,28 @@ def oracle():
         return json.load(fh)
 
 
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Swap convergence's thread pool for a serial fake; yields the widths asked for."""
+    widths = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(conv, "ThreadPoolExecutor", RecordingExecutor)
+    return widths
+
+
 def strip_wall(row):
     return dataclasses.replace(row, wall_ms=0.0)
 
@@ -159,6 +181,43 @@ class TestRateFit:
         with pytest.raises(ValueError, match="positive"):
             fit_rate_xy([1.0, 2.0, 4.0], [1.0, -2.0, 4.0])
 
+    @staticmethod
+    def assert_same_bits(ours, ref):
+        if math.isnan(ref):
+            assert math.isnan(ours)
+        else:
+            assert np.float64(ours).tobytes() == np.float64(ref).tobytes()
+
+    def test_bit_identical_to_linregress(self):
+        from scipy.stats import linregress
+
+        rng = np.random.default_rng(20240611)
+        for case in range(300):
+            k = int(rng.integers(3, 13))
+            if case % 3 == 0:  # repeated swept values, as in a multi-trial sweep
+                x = rng.choice([10.0, 20.0, 40.0, 80.0], size=k)
+                x[:3] = [10.0, 20.0, 40.0]
+            else:
+                x = np.exp(rng.uniform(-8.0, 10.0, size=k))
+            y = np.exp(rng.normal(0.0, 3.0, size=k) + rng.normal() * np.log(x))
+            fit = fit_rate_xy(x, y)
+            ref = linregress(np.log(x), np.log(y))
+            self.assert_same_bits(fit.slope, ref.slope)
+            self.assert_same_bits(fit.intercept, ref.intercept)
+            self.assert_same_bits(fit.r_squared, ref.rvalue**2)
+
+    def test_constant_response_matches_linregress(self):
+        from scipy.stats import linregress
+
+        x = np.array([100.0, 200.0, 400.0, 800.0])
+        for y in (np.ones(4), np.full(4, 0.3)):
+            fit = fit_rate_xy(x, y)
+            ref = linregress(np.log(x), np.log(y))
+            self.assert_same_bits(fit.slope, ref.slope)
+            self.assert_same_bits(fit.intercept, ref.intercept)
+            self.assert_same_bits(fit.r_squared, ref.rvalue**2)
+        assert math.isnan(fit_rate_xy(x, np.ones(4)).r_squared)
+
     def test_rows_interface(self):
         rows = []
         for n in (10, 100, 1000):
@@ -275,6 +334,12 @@ class TestLemmaCheck:
             res = lemma_check("circle", "sin_theta", 10, 1e-6, seed=0)
         assert res.low_neighbor_warning
 
+    def test_low_neighbor_warning_points_at_caller(self):
+        with pytest.warns(UserWarning, match="too few neighbors") as record:
+            lemma_check("circle", "sin_theta", 10, 1e-6, seed=0)
+            degree_check("circle", 10, 1e-6, seed=0)
+        assert [w.filename for w in record] == [__file__, __file__]
+
     def test_sparse_close_to_dense(self):
         dense = lemma_check("circle", "sin_theta", 400, 0.02, seed=9, mode="dense")
         sparse = lemma_check("circle", "sin_theta", 400, 0.02, seed=9, mode="sparse", tau=1e-12)
@@ -302,7 +367,7 @@ class TestDegreeCheck:
         cloud = sample("circle", 300, seed=21)
         d = degrees(build_weights(cloud, KernelConfig(epsilon=0.05)))
         m = conv.get_manifold("circle")
-        _, stats = conv._degree_stats(d, m, cloud.points, 0.05)
+        stats = conv._degree_stats(d, m, cloud.points, 0.05)
         res = degree_check("circle", 300, 0.05, seed=21)
         assert res.stats.ratio_mean == pytest.approx(stats.ratio_mean, rel=1e-13)
         assert res.stats.residual_dev == pytest.approx(stats.residual_dev, rel=1e-10)
@@ -377,6 +442,13 @@ class TestSweep:
         threaded = [strip_wall(r) for r in sweep(spec, parallelism=4).rows]
         assert serial == threaded
 
+    def test_pool_width_is_clamped_to_cells(self, monkeypatch, recording_pool):
+        monkeypatch.setattr(conv.os, "cpu_count", lambda: 4)
+        spec = self.base_spec(n_list=(60,), epsilon_list=(0.05,), trials=2)
+        rows = sweep(spec, parallelism=16).rows
+        assert recording_pool == [2]
+        assert [strip_wall(r) for r in rows] == [strip_wall(r) for r in sweep(spec).rows]
+
     def test_failures_recorded_and_cells_continue(self, monkeypatch):
         real = conv.lemma_check
 
@@ -400,7 +472,32 @@ class TestSweep:
         assert rows[0].err_abs_max == rows[1].err_abs_max
 
 
+class TestMapJobs:
+    def test_width_is_min_of_k_jobs_and_cpus(self, monkeypatch, recording_pool):
+        monkeypatch.setattr(conv.os, "cpu_count", lambda: 4)
+        square = lambda j: j * j
+        assert conv._map_jobs(square, [1, 2, 3], 64) == [1, 4, 9]
+        assert conv._map_jobs(square, list(range(10)), 64) == [j * j for j in range(10)]
+        assert conv._map_jobs(square, list(range(10)), 2) == [j * j for j in range(10)]
+        assert recording_pool == [3, 4, 2]
+
+    @pytest.mark.parametrize("parallelism, cpus", [(1, 4), (0, 4), (-3, 4), (8, 1), (8, None)])
+    def test_width_one_or_less_runs_serially(self, monkeypatch, recording_pool, parallelism, cpus):
+        monkeypatch.setattr(conv.os, "cpu_count", lambda: cpus)
+        assert conv._map_jobs(lambda j: -j, [1, 2, 3], parallelism) == [-1, -2, -3]
+        assert recording_pool == []
+
+
 class TestSpreadStudy:
+    def test_pool_width_is_clamped_to_cpus(self, monkeypatch, recording_pool):
+        monkeypatch.setattr(conv.os, "cpu_count", lambda: 3)
+        study = estimator_spread_study(
+            "circle", "sin_theta", [40, 50, 60], 0.1, n_seeds=2, mode="dense", tau=0.0,
+            parallelism=100,
+        )
+        assert recording_pool == [3]
+        assert len(study.spreads) == 3
+
     def test_small_study_slope_and_determinism(self):
         study = estimator_spread_study(
             "circle", "sin_theta", [100, 200, 400], 0.05, n_seeds=8, master_seed=3,

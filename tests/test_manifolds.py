@@ -47,11 +47,14 @@ class TestRegistry:
     def test_curvature_fields(self):
         pts = sample("sphere", 50, seed=0).points
         np.testing.assert_array_equal(get_manifold("sphere").scalar_curvature(pts), 2.0)
-        np.testing.assert_array_equal(get_manifold("sphere").e_of(pts), 2.0 / 3.0)
         cpts = sample("circle", 50, seed=0).points
         np.testing.assert_array_equal(get_manifold("circle").scalar_curvature(cpts), 0.0)
         tpts = sample("torus", 50, seed=0).points
         np.testing.assert_array_equal(get_manifold("torus").scalar_curvature(tpts), 0.0)
+
+    def test_descriptor_passes_through(self):
+        sphere = get_manifold("sphere")
+        assert get_manifold(sphere) is sphere
 
     def test_unknown_manifold_lists_valid_ids(self):
         with pytest.raises(ValueError, match="circle, sphere, torus"):
