@@ -323,6 +323,16 @@ def _cmd_list_functions(args) -> int:
     return EXIT_OK
 
 
+def _group_value(text: str):
+    """A results.csv cell as the int or float it holds, else as the text."""
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
+
+
 def _cmd_plot_data(args) -> int:
     results = Path(args.results)
     if not results.is_file():
@@ -347,12 +357,14 @@ def _cmd_plot_data(args) -> int:
         print(f"error: output directory not writable: {out_dir} ({exc})", file=sys.stderr)
         return EXIT_CONFIG
 
-    groups: dict[str, list[dict]] = {}
+    groups: dict = {}
     for row in rows:
-        groups.setdefault(row[args.group_by], []).append(row)
+        groups.setdefault(_group_value(row[args.group_by]), []).append(row)
 
     summary_lines = []
-    for gval in sorted(groups):
+    # numbers in value order, then any text; str() of a number is its
+    # shortest round-trip form (0.04, not 0.040000000000000001)
+    for gval in sorted(groups, key=lambda v: (isinstance(v, str), v)):
         grp = sorted(groups[gval], key=lambda r: float(r[args.x_axis]))
         name = f"{args.y_column}_vs_{args.x_axis}__{args.group_by}_{gval}.csv"
         lines = [f"{args.x_axis},{args.y_column}"]

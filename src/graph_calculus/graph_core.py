@@ -1,4 +1,4 @@
-"""Weighted graph construction: Gaussian kernel weights and vertex degrees."""
+"""Weighted graph construction: Gaussian kernel weights, vertex degrees and W g."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ __all__ = [
     "build_weights",
     "degrees",
     "degrees_from_cloud",
+    "kernel_matvec",
 ]
 
 # Largest N for which a dense N x N weight matrix is allowed (128 MB of
@@ -22,8 +23,8 @@ __all__ = [
 DENSE_LIMIT = 4096
 
 # Sets the side r of the square kernel blocks: the largest r for which
-# r * N * dim float64 values fit in this many bytes. Degrees are summed block
-# by block, so changing it moves them in the last bits.
+# r * N * dim float64 values fit in this many bytes. Degrees and W g are
+# summed block by block, so changing it moves them in the last bits.
 _BLOCK_BYTES = 48_000_000
 
 
@@ -215,3 +216,23 @@ def degrees_from_cloud(cloud: PointCloud, kernel: KernelConfig) -> np.ndarray:
             # an off-diagonal block serves both its row and column vertices
             d[cols] += block.sum(axis=0)
     return d
+
+
+def kernel_matvec(cloud: PointCloud, kernel: KernelConfig, g) -> np.ndarray:
+    """The product W @ g computed straight from the cloud, never materializing W.
+
+    Same kernel blocks and truncation as build_weights, so memory stays at
+    one block instead of W's nnz. A diagonal block multiplies over its full
+    square, so the result can differ from build_weights(...).entries @ g at
+    ~1e-15 relative, as degrees_from_cloud does from degrees.
+    """
+    g = np.asarray(g, dtype=np.float64)
+    if g.shape != (cloud.n_points,):
+        raise ValueError(f"vector has shape {g.shape}, expected ({cloud.n_points},)")
+    out = np.zeros(cloud.n_points, dtype=np.float64)
+    for rows, cols, block in _kernel_blocks(cloud, kernel):
+        out[rows] += block @ g[cols]
+        if rows != cols:
+            # W is symmetric: the block's transpose is the mirrored block
+            out[cols] += g[rows] @ block
+    return out

@@ -345,12 +345,33 @@ class TestPlotData:
         header = (results_dir / "results.csv").read_text().splitlines()[0].split(",")
         n_idx, y_idx, eps_idx = header.index("N"), header.index("err_rel_median"), header.index("epsilon")
         for line in summary:
-            gval = line.split(":")[0].split("=", 1)[1]
-            grp = [r.split(",") for r in rows if r.split(",")[eps_idx] == gval]
+            gval = float(line.split(":")[0].split("=", 1)[1])
+            grp = [r.split(",") for r in rows if float(r.split(",")[eps_idx]) == gval]
+            assert grp
             xs = [float(r[n_idx]) for r in grp]
             ys = [float(r[y_idx]) for r in grp]
             fit = fit_rate_xy(np.array(xs), np.array(ys), axis="N")
             assert f"slope={format_float(fit.slope)}" in line
+
+    def test_group_labels_are_shortest_numbers_in_value_order(self, tmp_path):
+        path = write_spec(tmp_path, N_list=[500, 1000], epsilon_list=[0.01, 0.02, 0.04], trials=1)
+        results = tmp_path / "sweep" / "results.csv"
+        assert main(["run", "--config", str(path), "--out", str(results.parent)]) == 0
+        by_eps, by_n = tmp_path / "by_eps", tmp_path / "by_n"
+        for group, x, out in (("epsilon", "N", by_eps), ("N", "epsilon", by_n)):
+            assert main(
+                ["plot-data", "--results", str(results), "--x", x, "--y", "err_rel_median",
+                 "--group-by", group, "--out", str(out)]
+            ) == 0
+
+        def labels(out):
+            lines = (out / "series_summary.txt").read_text().splitlines()
+            return [line.split(":")[0] for line in lines]
+
+        assert (by_eps / "err_rel_median_vs_N__epsilon_0.04.csv").is_file()
+        assert labels(by_eps) == ["epsilon=0.01", "epsilon=0.02", "epsilon=0.04"]
+        assert labels(by_n) == ["N=500", "N=1000"]
+        assert (by_n / "err_rel_median_vs_epsilon__N_500.csv").is_file()
 
     def test_single_row_input(self, spec_file, tmp_path):
         out_run = tmp_path / "single"

@@ -8,14 +8,21 @@ import pytest
 import graph_calculus.convergence as conv
 from graph_calculus import (
     ExperimentSpec,
+    KernelConfig,
+    build_weights,
     degree_check,
+    degrees,
     derive_cell_seed,
     estimator_spread_study,
+    eval_pair,
     fit_rate,
     fit_rate_xy,
+    laplacian_apply,
     lemma_check,
+    sample,
     sweep,
 )
+from graph_calculus import graph_core
 from graph_calculus.convergence import CellResult, classify_regime
 
 
@@ -344,6 +351,31 @@ class TestLemmaCheck:
         dense = lemma_check("circle", "sin_theta", 400, 0.02, seed=9, mode="dense")
         sparse = lemma_check("circle", "sin_theta", 400, 0.02, seed=9, mode="sparse", tau=1e-12)
         np.testing.assert_allclose(sparse.estimate, dense.estimate, atol=1e-8)
+
+    @pytest.mark.parametrize("mode, tau", [("dense", 0.0), ("sparse", 1e-8)])
+    def test_matches_stored_weight_route(self, split_blocks, mode, tau):
+        split_blocks(700, 3, 160)  # four full row blocks and a ragged fifth
+        res = lemma_check("sphere", "coord_z", 700, 0.05, seed=4, mode=mode, tau=tau)
+        cloud = sample("sphere", 700, seed=4)
+        w = build_weights(cloud, KernelConfig(epsilon=0.05, truncation_tau=tau))
+        d = degrees(w)
+        f, _ = eval_pair(conv.get_manifold("sphere"), "coord_z", cloud)
+        np.testing.assert_allclose(res.degrees, d, rtol=1e-12)
+        expected = (2.0 / 0.05) * laplacian_apply(f, w, d)
+        np.testing.assert_allclose(res.estimate, expected, rtol=0.0, atol=1e-9)
+
+    def test_cells_store_no_weight_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a lemma_check cell stored W")
+
+        # WeightMatrix is patched too, so that a module holding its own
+        # reference to build_weights is still caught
+        monkeypatch.setattr(graph_core, "build_weights", refuse)
+        monkeypatch.setattr(graph_core, "WeightMatrix", refuse)
+        lemma_check("sphere", "coord_z", 300, 0.05, seed=1, mode="sparse", tau=1e-8)
+        lemma_check("circle", "sin_theta", 200, 0.05, seed=1, mode="dense")
+        study = estimator_spread_study("circle", "sin_theta", [60, 80, 100], 0.1, n_seeds=2)
+        assert len(study.spreads) == 3
 
 
 class TestDegreeCheck:

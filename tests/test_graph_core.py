@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graph_calculus import (
     KernelConfig,
@@ -9,6 +11,7 @@ from graph_calculus import (
     build_weights,
     degrees,
     degrees_from_cloud,
+    kernel_matvec,
 )
 from graph_calculus import graph_core
 
@@ -16,23 +19,6 @@ from graph_calculus import graph_core
 def random_cloud(n, dim, seed):
     rng = np.random.default_rng(seed)
     return PointCloud(points=rng.standard_normal((n, dim)))
-
-
-@pytest.fixture
-def split_blocks(monkeypatch):
-    """Shrink the kernel block so an (n, dim) cloud spans several row blocks.
-
-    At the default block size every test cloud here fits in one diagonal
-    block, which would leave the off-diagonal mirroring untested. The last
-    block is ragged (rows does not divide n).
-    """
-
-    def split(n, dim, rows):
-        monkeypatch.setattr(graph_core, "_BLOCK_BYTES", 8 * n * dim * rows)
-        assert graph_core._block_rows(n, dim) == rows < n
-        assert n % rows != 0
-
-    return split
 
 
 # the worked 3-point example: (0,0), (1,0), (0,2) with eps = 1
@@ -238,3 +224,60 @@ class TestDegreesFromCloud:
         d_direct = degrees_from_cloud(cloud, kernel)
         d_route = degrees(build_weights(cloud, kernel))
         assert np.abs(d_direct - d_route).max() <= 1e-12 * 1201
+
+
+_COORD = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def degenerate_clouds(draw):
+    """(points, vector, block rows) for clouds of 2-12 points, often degenerate."""
+    n = draw(st.integers(2, 12))
+    dim = draw(st.integers(1, 3))
+    point = st.lists(_COORD, min_size=dim, max_size=dim)
+    pts = np.array(draw(st.lists(point, min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(("general", "duplicates", "collinear")))
+    if kind == "duplicates":
+        pts = pts[draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))]
+    elif kind == "collinear":
+        pts = pts[0] + np.outer(draw(st.lists(_COORD, min_size=n, max_size=n)), pts[1] - pts[0])
+    g = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    return pts, g, draw(st.integers(1, n))
+
+
+class TestKernelMatvec:
+    @pytest.mark.parametrize("tau", [0.0, 1e-4])
+    def test_matches_stored_product_across_blocks(self, split_blocks, tau):
+        cloud = random_cloud(230, 3, 14)
+        split_blocks(230, 3, 60)  # three full row blocks and a ragged fourth
+        kernel = KernelConfig(epsilon=0.5, truncation_tau=tau)
+        g = np.random.default_rng(15).uniform(0.5, 1.5, 230)
+        expected = build_weights(cloud, kernel).entries @ g
+        np.testing.assert_allclose(kernel_matvec(cloud, kernel, g), expected, rtol=1e-12, atol=0.0)
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="shape"):
+            kernel_matvec(random_cloud(5, 2, 0), KernelConfig(epsilon=1.0), np.ones(4))
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        case=degenerate_clouds(),
+        log_eps=st.floats(-9.0, 6.0),
+        tau=st.sampled_from((0.0, 1e-8)),
+    )
+    def test_matches_stored_product_on_degenerate_clouds(self, case, log_eps, tau):
+        pts, g, rows = case
+        n, dim = pts.shape
+        cloud = PointCloud(points=pts)
+        kernel = KernelConfig(epsilon=10.0**log_eps, truncation_tau=tau)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_core, "_BLOCK_BYTES", 8 * n * dim * rows)
+            got = kernel_matvec(cloud, kernel, g)
+            w = build_weights(cloud, kernel).toarray()
+        # The norm expansion may round the distance of (u, v) and of (v, u)
+        # a few ulps of |x|^2 apart. W keeps one orientation of a diagonal
+        # block and the product uses both, so a weight may differ by up to
+        # that over 2 eps.
+        slack = 8 * np.finfo(float).eps * (pts**2).sum(axis=1).max() / (2 * kernel.epsilon)
+        bound = 1e-12 * (np.abs(w) @ np.abs(g)) + slack * np.abs(g).sum()
+        assert (np.abs(got - w @ g) <= bound).all()
