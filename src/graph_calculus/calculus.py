@@ -1,7 +1,7 @@
 """Discrete differential operators on weighted graphs.
 
-Vertex functions are length-N float arrays; edge fields are N x N arrays
-(dense ndarray, or CSR sharing the weight matrix's sparsity pattern).
+Vertex functions are length-N float arrays; edge fields are N x N float
+arrays, like the weight matrix.
 Edges are all ordered pairs, so every unordered edge appears twice in edge
 sums; the gradient is antisymmetric under edge reversal, general edge
 fields need not be.
@@ -17,7 +17,6 @@ vertex degrees differ. This is a property of the operator, not a bug.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph_core import WeightMatrix
 
@@ -51,11 +50,7 @@ def _check_degrees(d, n: int) -> np.ndarray:
     return d
 
 
-def _check_edge_field(field, n: int):
-    if sp.issparse(field):
-        if field.shape != (n, n):
-            raise ValueError(f"edge field has shape {field.shape}, expected ({n}, {n})")
-        return field.tocsr()
+def _check_edge_field(field, n: int) -> np.ndarray:
     field = np.asarray(field, dtype=np.float64)
     if field.shape != (n, n):
         raise ValueError(f"edge field has shape {field.shape}, expected ({n}, {n})")
@@ -66,19 +61,13 @@ def gradient(f, w: WeightMatrix, d):
     """Edge derivative field of f.
 
     G(u, v) = sqrt(w(u,v) / (2 d(v))) f(v) - sqrt(w(u,v) / (2 d(u))) f(u)
-    for every ordered edge; G(u, u) = 0 since both terms coincide. Output
-    storage matches the weight matrix (dense or CSR).
+    for every ordered edge; G(u, u) = 0 since both terms coincide. An edge
+    with w(u, v) = 0 gets 0 or -0 (sqrt(0) times a negative difference).
     """
     n = w.n_vertices
     f = _check_vertex_function(f, n)
     d = _check_degrees(d, n)
     b = f / np.sqrt(d)
-    if w.is_sparse:
-        m = w.entries
-        row = np.repeat(np.arange(n), np.diff(m.indptr))
-        col = m.indices
-        data = np.sqrt(m.data / 2.0) * (b[col] - b[row])
-        return sp.csr_matrix((data, col.copy(), m.indptr.copy()), shape=(n, n))
     return np.sqrt(w.entries / 2.0) * (b[None, :] - b[:, None])
 
 
@@ -87,9 +76,6 @@ def gradient_norm_at(g, u: int) -> float:
     n = g.shape[0]
     if not 0 <= u < n:
         raise ValueError(f"vertex index {u} out of range [0, {n})")
-    if sp.issparse(g):
-        row = g.getrow(u)
-        return float(np.sqrt(np.sum(row.data**2)))
     return float(np.sqrt(np.sum(np.asarray(g)[u] ** 2)))
 
 
@@ -103,16 +89,6 @@ def divergence(field, w: WeightMatrix, d):
     n = w.n_vertices
     d = _check_degrees(d, n)
     field = _check_edge_field(field, n)
-    if w.is_sparse:
-        m = w.entries
-        row = np.repeat(np.arange(n), np.diff(m.indptr))
-        coeff = sp.csr_matrix(
-            (np.sqrt(m.data / (2.0 * d[row])), m.indices.copy(), m.indptr.copy()),
-            shape=(n, n),
-        )
-        return np.asarray(coeff.multiply(field - field.T).sum(axis=1)).ravel()
-    if sp.issparse(field):
-        field = field.toarray()
     coeff = np.sqrt(w.entries / (2.0 * d[:, None]))
     return (coeff * (field - field.T)).sum(axis=1)
 
@@ -132,15 +108,9 @@ def laplacian_apply(f, w: WeightMatrix, d):
 
 
 def laplacian_matrix(w: WeightMatrix, d):
-    """Matrix form D^{-1/2} W D^{-1/2} - Id (same storage as W)."""
+    """Matrix form D^{-1/2} W D^{-1/2} - Id."""
     n = w.n_vertices
     d = _check_degrees(d, n)
-    if w.is_sparse:
-        m = w.entries.tocoo()
-        # scale by the symmetric product so the result stays bit-symmetric
-        data = m.data / np.sqrt(d[m.row] * d[m.col])
-        scaled = sp.csr_matrix((data, (m.row, m.col)), shape=(n, n))
-        return (scaled - sp.identity(n, format="csr")).tocsr()
     return w.entries / np.sqrt(np.outer(d, d)) - np.eye(n)
 
 
@@ -161,12 +131,6 @@ def inner_vertex(f, g) -> float:
 
 def inner_edge(field_a, field_b) -> float:
     """Edge-space scalar product over all ordered edges, sum_e F(e) G(e)."""
-    if sp.issparse(field_a) or sp.issparse(field_b):
-        if field_a.shape != field_b.shape:
-            raise ValueError(f"shape mismatch: {field_a.shape} vs {field_b.shape}")
-        if sp.issparse(field_a):
-            return float(field_a.multiply(field_b).sum())
-        return float(field_b.multiply(field_a).sum())
     a = np.asarray(field_a, dtype=np.float64)
     b = np.asarray(field_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 2:

@@ -30,13 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph_core import (
-    DENSE_LIMIT,
-    KernelConfig,
-    PointCloud,
-    degrees_from_cloud,
-    kernel_matvec,
-)
+from .graph_core import KernelConfig, PointCloud, degrees_from_cloud, kernel_matvec
 from .manifolds import ManifoldDescriptor, eval_pair, get_manifold, grid_sample, sample
 
 __all__ = [
@@ -80,18 +74,12 @@ def _check_choice(name: str, value: str, choices: tuple) -> None:
         raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
-def _check_mode(mode: str, tau: float, n_values: Sequence[int]) -> None:
-    """Reject a storage mode, tau and cloud sizes that do not fit together."""
+def _check_mode(mode: str, tau: float) -> None:
+    """Reject a mode and tau that do not fit together."""
     _check_choice("mode", mode, _MODES)
     if mode == "dense":
         if tau != 0.0:
             raise ValueError("dense mode is exact: tau must be 0")
-        too_big = [n for n in n_values if n > DENSE_LIMIT]
-        if too_big:
-            raise ValueError(
-                f"dense mode is limited to N <= {DENSE_LIMIT}; "
-                f"use sparse mode for N in {too_big}"
-            )
     elif not (0.0 < tau < 1.0):
         raise ValueError("sparse mode requires 0 < tau < 1")
 
@@ -134,7 +122,7 @@ class ExperimentSpec:
         if int(self.master_seed) < 0:
             raise ValueError("master_seed must be a nonnegative 64-bit integer")
         object.__setattr__(self, "master_seed", int(self.master_seed))
-        _check_mode(self.mode, self.tau, self.n_list)
+        _check_mode(self.mode, self.tau)
         _check_choice("sampling", self.sampling, _SAMPLINGS)
         _check_choice("interior_statistic", self.interior_statistic, _STATISTICS)
 
@@ -369,7 +357,7 @@ def lemma_check(
     pin_anchor replaces point 0 with the manifold's canonical anchor so
     across-seed spread can be measured at a fixed location.
     """
-    _check_mode(mode, tau, (n,))
+    _check_mode(mode, tau)
     m, cloud, warned, regime = _cell_setup(manifold, n, epsilon, seed, sampling, pin_anchor)
     f, reference = eval_pair(m, fn_id, cloud)
 

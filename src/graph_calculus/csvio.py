@@ -7,7 +7,6 @@ import secrets
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "RESULTS_HEADER",
@@ -99,8 +98,6 @@ def read_vector_csv(path) -> np.ndarray:
 
 
 def write_matrix_csv(path, matrix) -> None:
-    if sp.issparse(matrix):
-        matrix = matrix.toarray()
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {matrix.shape}")

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "DENSE_LIMIT",
@@ -18,8 +17,8 @@ __all__ = [
     "kernel_matvec",
 ]
 
-# Largest N for which a dense N x N weight matrix is allowed (128 MB of
-# float64 at 4096). Above this, callers must truncate (tau > 0 -> CSR).
+# Largest N for which a stored N x N weight matrix is allowed (128 MB of
+# float64 at 4096), whatever tau. Sweeps and degree passes never store W.
 DENSE_LIMIT = 4096
 
 # Sets the side r of the square kernel blocks: the largest r for which
@@ -71,8 +70,8 @@ class KernelConfig:
     """Gaussian kernel parameters.
 
     epsilon is the squared-length scale of exp(-dist^2 / (2*epsilon)).
-    truncation_tau in [0, 1): weights below tau are stored as exact zeros;
-    tau == 0 means dense/exact.
+    truncation_tau in [0, 1): weights below tau become exact zeros;
+    tau == 0 means exact.
     """
 
     epsilon: float
@@ -87,24 +86,19 @@ class KernelConfig:
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Symmetric nonnegative kernel weights, dense ndarray or CSR when truncated."""
+    """Symmetric nonnegative kernel weights as an N x N ndarray.
 
-    entries: object  # np.ndarray or scipy.sparse.csr_matrix
+    A truncated matrix (truncation_tau > 0) holds its dropped weights as
+    exact zeros.
+    """
+
+    entries: np.ndarray
     epsilon: float
     truncation_tau: float = 0.0
 
     @property
     def n_vertices(self) -> int:
         return self.entries.shape[0]
-
-    @property
-    def is_sparse(self) -> bool:
-        return sp.issparse(self.entries)
-
-    def toarray(self) -> np.ndarray:
-        if self.is_sparse:
-            return self.entries.toarray()
-        return np.asarray(self.entries)
 
 
 def _block_rows(n: int, dim: int) -> int:
@@ -152,51 +146,25 @@ def build_weights(cloud: PointCloud, kernel: KernelConfig) -> WeightMatrix:
     degrees_from_cloud, with squared distances from the norm expansion
     |u|^2 + |v|^2 - 2 u.v. Each unordered block is computed once and mirrored
     (a diagonal block keeps its upper triangle), so the result is symmetric
-    bit-for-bit. With tau == 0 the result is dense and the diagonal is
-    exactly 1; with tau > 0 it is CSR, keeping only entries >= tau (the
-    diagonal always survives since tau < 1).
+    bit-for-bit. The diagonal is exactly 1 (it survives any tau < 1).
     """
     n = cloud.n_points
-    eps = kernel.epsilon
-    tau = kernel.truncation_tau
-
-    if tau == 0.0:
-        if n > DENSE_LIMIT:
-            raise ValueError(
-                f"dense weight matrix limited to N <= {DENSE_LIMIT} points "
-                f"(got {n}); set truncation_tau > 0 for sparse storage"
-            )
-        w = np.empty((n, n), dtype=np.float64)
-        for rows, cols, block in _kernel_blocks(cloud, kernel):
-            if rows != cols:
-                w[rows, cols] = block
-                w[cols, rows] = block.T
-            else:
-                w[rows, cols] = np.triu(block) + np.triu(block, 1).T
-        return WeightMatrix(entries=w, epsilon=eps, truncation_tau=0.0)
-
-    row_ids, col_ids, vals = [], [], []
+    if n > DENSE_LIMIT:
+        raise ValueError(
+            f"stored weight matrix limited to N <= {DENSE_LIMIT} points (got {n})"
+        )
+    w = np.empty((n, n), dtype=np.float64)
     for rows, cols, block in _kernel_blocks(cloud, kernel):
-        keep = block >= tau
-        if rows == cols:
-            keep = np.triu(keep)  # the lower triangle comes from the mirror below
-        bi, bj = np.nonzero(keep)
-        row_ids.append((bi + rows.start).astype(np.int32))
-        col_ids.append((bj + cols.start).astype(np.int32))
-        vals.append(block[keep])
-    upper = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(row_ids), np.concatenate(col_ids))),
-        shape=(n, n),
-    ).tocsr()
-    w = (upper + sp.triu(upper, k=1).T).tocsr()
-    w.sort_indices()
-    return WeightMatrix(entries=w, epsilon=eps, truncation_tau=tau)
+        if rows != cols:
+            w[rows, cols] = block
+            w[cols, rows] = block.T
+        else:
+            w[rows, cols] = np.triu(block) + np.triu(block, 1).T
+    return WeightMatrix(entries=w, epsilon=kernel.epsilon, truncation_tau=kernel.truncation_tau)
 
 
 def degrees(w: WeightMatrix) -> np.ndarray:
     """Vertex degrees d(u), the exact row sums of the weight matrix."""
-    if w.is_sparse:
-        return np.asarray(w.entries.sum(axis=1)).ravel()
     return w.entries.sum(axis=1)
 
 
@@ -204,8 +172,8 @@ def degrees_from_cloud(cloud: PointCloud, kernel: KernelConfig) -> np.ndarray:
     """Degrees computed straight from the cloud, never materializing W.
 
     Same kernel blocks and truncation as build_weights followed by degrees;
-    intended for large N where even CSR storage is wasteful (degree sweeps
-    at N ~ 2e4). Row sums of a diagonal block run over its full square, so
+    intended for large N, beyond the stored-W limit (degree sweeps at
+    N ~ 2e4). Row sums of a diagonal block run over its full square, so
     they can differ from the stored-W degrees at ~1e-15 relative, far
     inside the 1e-12 N row-sum consistency budget.
     """

@@ -279,6 +279,21 @@ class TestOperatorCommands:
         assert code == 1
         assert "--function" in capsys.readouterr().err
 
+    def test_stored_weight_limit_applies_at_any_tau(self, tmp_path, capsys):
+        cloud_csv = tmp_path / "cloud.csv"
+        np.savetxt(cloud_csv, np.random.default_rng(8).standard_normal((4097, 2)), delimiter=",")
+        f_csv = tmp_path / "f.csv"
+        write_vector_csv(f_csv, np.zeros(4097))
+        for command in ("grad", "laplacian"):
+            code = main(
+                [command, "--cloud", str(cloud_csv), "--epsilon", "1.0", "--tau", "1e-8",
+                 "--function", str(f_csv), "--out", str(tmp_path / "out.csv")]
+            )
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "limited to N <= 4096 points (got 4097)" in err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_missing_cloud_file(self, tmp_path, capsys):
         code = main(
             ["laplacian", "--cloud", str(tmp_path / "nope.csv"), "--epsilon", "1.0",
@@ -417,13 +432,14 @@ class TestArgumentHandling:
         assert "GRAPH_CALCULUS_LOG" in capsys.readouterr().err
 
     def test_cli_import_leaves_scipy_stats_out(self):
-        # A fresh interpreter: this test process may already hold scipy.stats.
+        # The package imports only numpy: no scipy module at all, scipy.stats
+        # included. A fresh interpreter, since this test process may hold scipy.
         import graph_calculus
 
         src = str(Path(graph_calculus.__file__).resolve().parents[1])
         probe = (
             "import sys, graph_calculus.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run(

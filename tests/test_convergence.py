@@ -104,9 +104,10 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="tau must be 0"):
             ExperimentSpec.from_dict(self.minimal(tau=1e-8))
 
-    def test_dense_rejects_large_n(self):
-        with pytest.raises(ValueError, match="sparse"):
-            ExperimentSpec.from_dict(self.minimal(N_list=[8192]))
+    def test_dense_accepts_large_n(self):
+        # a cell never stores W, so the stored-W size limit does not apply
+        spec = ExperimentSpec.from_dict(self.minimal(N_list=[8192]))
+        assert (spec.mode, spec.n_list) == ("dense", (8192,))
 
     def test_sparse_needs_positive_tau(self):
         with pytest.raises(ValueError, match="0 < tau < 1"):
@@ -333,8 +334,10 @@ class TestLemmaCheck:
             lemma_check("circle", "sin_theta", 50, 0.05, mode="dense", tau=0.5)
         with pytest.raises(ValueError, match="0 < tau < 1"):
             lemma_check("circle", "sin_theta", 50, 0.05, mode="sparse", tau=0.0)
-        with pytest.raises(ValueError, match="sparse"):
-            lemma_check("circle", "sin_theta", 5000, 0.05, mode="dense")
+        # N above the stored-W limit runs in dense mode and matches sparse
+        dense = lemma_check("circle", "sin_theta", 5000, 0.05, seed=9, mode="dense")
+        sparse = lemma_check("circle", "sin_theta", 5000, 0.05, seed=9, mode="sparse", tau=1e-12)
+        np.testing.assert_allclose(sparse.estimate, dense.estimate, atol=1e-8)
 
     def test_low_neighbor_warning(self):
         with pytest.warns(UserWarning, match="too few neighbors"):

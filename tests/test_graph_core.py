@@ -99,17 +99,23 @@ class TestBuildWeights:
         assert w.entries[1, 2] == pytest.approx(0.0820850, abs=5e-8)
         assert w.entries[0, 2] == pytest.approx(0.1353353, abs=5e-8)
 
-    @pytest.mark.parametrize("n,dim,seed", [(2, 2, 0), (37, 3, 1), (200, 5, 2), (128, 4, 3)])
-    def test_symmetry_is_bit_exact(self, n, dim, seed):
+    @pytest.mark.parametrize(
+        "n,dim,seed,eps,tau,rows",
+        [
+            pytest.param(2, 2, 0, 0.8, 0.0, None, id="2-2-0"),
+            pytest.param(37, 3, 1, 0.8, 0.0, None, id="37-3-1"),
+            pytest.param(200, 5, 2, 0.8, 0.0, None, id="200-5-2"),
+            pytest.param(128, 4, 3, 0.8, 0.0, None, id="128-4-3"),
+            pytest.param(150, 3, 4, 0.3, 1e-5, None, id="150-3-4-1e-05"),
+            pytest.param(150, 3, 4, 0.3, 1e-5, 40, id="150-3-4-1e-05-blocks40"),
+        ],
+    )
+    def test_symmetry_is_bit_exact(self, split_blocks, n, dim, seed, eps, tau, rows):
         cloud = random_cloud(n, dim, seed)
-        w = build_weights(cloud, KernelConfig(epsilon=0.8))
+        if rows is not None:
+            split_blocks(n, dim, rows)
+        w = build_weights(cloud, KernelConfig(epsilon=eps, truncation_tau=tau))
         assert np.abs(w.entries - w.entries.T).max() == 0.0
-
-    def test_sparse_symmetry_is_bit_exact(self):
-        cloud = random_cloud(150, 3, 4)
-        w = build_weights(cloud, KernelConfig(epsilon=0.3, truncation_tau=1e-5))
-        diff = w.entries - w.entries.T
-        assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
     def test_several_blocks_match_pairwise_formula(self, split_blocks):
         cloud = random_cloud(200, 5, 2)
@@ -121,19 +127,12 @@ class TestBuildWeights:
         # GEMM distances err by ~1e-16 |x|^2, i.e. ~1e-14 relative in w here
         np.testing.assert_allclose(w, np.exp(-sq_dist / (2 * 0.8)), rtol=1e-12, atol=0.0)
 
-    def test_sparse_symmetry_is_bit_exact_across_blocks(self, split_blocks):
-        cloud = random_cloud(150, 3, 4)
-        split_blocks(150, 3, 40)
-        w = build_weights(cloud, KernelConfig(epsilon=0.3, truncation_tau=1e-5))
-        diff = w.entries - w.entries.T
-        assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
-
     def test_truncation_consistency_across_blocks(self, split_blocks):
         cloud = random_cloud(120, 3, 6)
         split_blocks(120, 3, 50)
         tau = 1e-4
         dense = build_weights(cloud, KernelConfig(epsilon=0.4)).entries
-        trunc = build_weights(cloud, KernelConfig(epsilon=0.4, truncation_tau=tau)).toarray()
+        trunc = build_weights(cloud, KernelConfig(epsilon=0.4, truncation_tau=tau)).entries
         kept = trunc != 0
         assert np.array_equal(trunc[kept], dense[kept])
         assert dense[~kept].max() < tau
@@ -149,7 +148,8 @@ class TestBuildWeights:
         cloud = random_cloud(120, 3, 6)
         tau = 1e-4
         dense = build_weights(cloud, KernelConfig(epsilon=0.4)).entries
-        trunc = build_weights(cloud, KernelConfig(epsilon=0.4, truncation_tau=tau)).toarray()
+        trunc = build_weights(cloud, KernelConfig(epsilon=0.4, truncation_tau=tau)).entries
+        assert isinstance(trunc, np.ndarray)
         kept = trunc != 0
         assert np.array_equal(trunc[kept], dense[kept])
         assert dense[~kept].max() < tau
@@ -159,11 +159,12 @@ class TestBuildWeights:
         w = build_weights(cloud, KernelConfig(epsilon=0.9)).entries
         assert w.min() >= 0.0 and w.max() <= 1.0
 
-    def test_dense_limit_enforced(self):
+    @pytest.mark.parametrize("tau", [0.0, 1e-8])
+    def test_dense_limit_enforced(self, tau):
         rng = np.random.default_rng(8)
         cloud = PointCloud(points=rng.standard_normal((4097, 2)))
-        with pytest.raises(ValueError, match="truncation_tau"):
-            build_weights(cloud, KernelConfig(epsilon=1.0))
+        with pytest.raises(ValueError, match=r"limited to N <= 4096 points \(got 4097\)$"):
+            build_weights(cloud, KernelConfig(epsilon=1.0, truncation_tau=tau))
 
     def test_build_is_deterministic(self):
         cloud = random_cloud(90, 3, 9)
@@ -273,7 +274,7 @@ class TestKernelMatvec:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graph_core, "_BLOCK_BYTES", 8 * n * dim * rows)
             got = kernel_matvec(cloud, kernel, g)
-            w = build_weights(cloud, kernel).toarray()
+            w = build_weights(cloud, kernel).entries
         # The norm expansion may round the distance of (u, v) and of (v, u)
         # a few ulps of |x|^2 apart. W keeps one orientation of a diagonal
         # block and the product uses both, so a weight may differ by up to
