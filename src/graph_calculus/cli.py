@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calculus import divergence, gradient, laplacian_apply, laplacian_matrix
+from .calculus import divergence, gradient, laplacian_matrix
 from .convergence import (
     ExperimentSpec,
     degree_check,
@@ -37,9 +37,16 @@ from .csvio import (
     write_text_atomic,
     write_vector_csv,
 )
-from .graph_core import KernelConfig, PointCloud, build_weights, degrees
-from .manifolds import manifold_names, registry_payload
-from .verification import VERIFY_MAX_N, run_invariant_suite
+from .graph_core import (
+    KernelConfig,
+    PointCloud,
+    build_weights,
+    degrees,
+    degrees_from_cloud,
+    laplacian_from_cloud,
+)
+from .manifolds import get_manifold, registry_payload
+from .verification import run_invariant_suite
 
 log = logging.getLogger("graph_calculus.cli")
 
@@ -214,9 +221,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.n > VERIFY_MAX_N:
-        print(f"error: verify runs dense; --n must be <= {VERIFY_MAX_N}", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         reports = run_invariant_suite(n=args.n, n_seeds=args.seeds)
     except ValueError as exc:
@@ -270,29 +274,31 @@ def _cmd_degree_check(args) -> int:
 
 
 def _cmd_operator(args) -> int:
+    if args.command == "laplacian" and not args.matrix and args.function is None:
+        print(
+            "error: laplacian needs --function (or --matrix for the matrix export)",
+            file=sys.stderr,
+        )
+        return EXIT_CONFIG
     try:
         cloud = PointCloud.from_csv(args.cloud)
-        w = build_weights(cloud, KernelConfig(epsilon=args.epsilon, truncation_tau=args.tau))
+        kernel = KernelConfig(epsilon=args.epsilon, truncation_tau=args.tau)
+        if args.command == "laplacian" and not args.matrix:
+            # a vector output needs only the degree pass and one W g pass
+            f = read_vector_csv(args.function)
+            d = degrees_from_cloud(cloud, kernel)
+            write_vector_csv(args.out, laplacian_from_cloud(cloud, kernel, f, d))
+            return EXIT_OK
+        w = build_weights(cloud, kernel)
         d = degrees(w)
         if args.command == "grad":
             f = read_vector_csv(args.function)
-            out = gradient(f, w, d)
-            write_matrix_csv(args.out, out)
+            write_matrix_csv(args.out, gradient(f, w, d))
         elif args.command == "div":
             field = read_matrix_csv(args.field)
             write_vector_csv(args.out, divergence(field, w, d))
         else:
-            if args.matrix:
-                write_matrix_csv(args.out, laplacian_matrix(w, d))
-            elif args.function is None:
-                print(
-                    "error: laplacian needs --function (or --matrix for the matrix export)",
-                    file=sys.stderr,
-                )
-                return EXIT_CONFIG
-            else:
-                f = read_vector_csv(args.function)
-                write_vector_csv(args.out, laplacian_apply(f, w, d))
+            write_matrix_csv(args.out, laplacian_matrix(w, d))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -311,12 +317,10 @@ def _cmd_list_manifolds(_args) -> int:
 def _cmd_list_functions(args) -> int:
     payload = registry_payload()
     if args.manifold is not None:
-        if args.manifold not in manifold_names():
-            print(
-                f"error: unknown manifold id {args.manifold!r}; "
-                f"valid ids: {', '.join(manifold_names())}",
-                file=sys.stderr,
-            )
+        try:
+            get_manifold(args.manifold)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         payload = [m for m in payload if m["id"] == args.manifold]
     print(json.dumps([{"manifold": m["id"], "functions": m["functions"]} for m in payload], indent=2))

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph_core import KernelConfig, PointCloud, degrees_from_cloud, kernel_matvec
+from .graph_core import KernelConfig, PointCloud, degrees_from_cloud, laplacian_from_cloud
 from .manifolds import ManifoldDescriptor, eval_pair, get_manifold, grid_sample, sample
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "DegreeCheckResult",
     "DegreeStats",
     "RateFit",
-    "SpreadStudy",
     "derive_cell_seed",
     "lemma_check",
     "degree_check",
@@ -50,7 +49,6 @@ __all__ = [
     "fit_rate",
     "fit_rate_xy",
     "sweep_rate_fits",
-    "estimator_spread_study",
     "classify_regime",
 ]
 
@@ -363,8 +361,7 @@ def lemma_check(
 
     kernel = KernelConfig(epsilon=epsilon, truncation_tau=tau)
     d = degrees_from_cloud(cloud, kernel)
-    root = np.sqrt(d)
-    estimate = (2.0 / epsilon) * (kernel_matvec(cloud, kernel, f / root) / root - f)
+    estimate = (2.0 / epsilon) * laplacian_from_cloud(cloud, kernel, f, d)
     errors = estimate - reference
 
     abs_err = np.abs(errors)
@@ -649,50 +646,3 @@ def sweep_rate_fits(rows: Sequence[CellResult], interior_statistic: str) -> list
                     }
                 )
     return fits
-
-
-# ----------------------------------------------------------------------
-# across-seed spread of the estimator at a pinned vertex
-
-
-@dataclass(frozen=True)
-class SpreadStudy:
-    n_list: tuple
-    spreads: tuple  # across-seed std-dev of the estimator at the anchor
-    fit: RateFit
-
-
-def estimator_spread_study(
-    manifold,
-    fn_id: str,
-    n_list: Sequence[int],
-    epsilon: float,
-    n_seeds: int,
-    master_seed: int = 0,
-    mode: str = "sparse",
-    tau: float = DEFAULT_TAU,
-    parallelism: int = 1,
-) -> SpreadStudy:
-    """Across-seed standard deviation of the estimator at the anchor vertex.
-
-    For each N, runs n_seeds independent clouds with point 0 pinned to the
-    manifold anchor, and measures the std-dev of the estimator there. The
-    log-log slope versus N quantifies the law-of-large-numbers fluctuation
-    decay (about -1/2 in practice).
-    """
-    n_list = tuple(int(n) for n in n_list)
-    jobs = [(n, t) for n in n_list for t in range(int(n_seeds))]
-
-    def one(job):
-        n, t = job
-        seed = derive_cell_seed(master_seed, n, epsilon, t)
-        res = lemma_check(
-            manifold, fn_id, n, epsilon, seed=seed, mode=mode, tau=tau, pin_anchor=True
-        )
-        return float(res.estimate[0])
-
-    values = _map_jobs(one, jobs, parallelism)
-    per_n = np.asarray(values, dtype=np.float64).reshape(len(n_list), int(n_seeds))
-    spreads = tuple(float(s) for s in per_n.std(axis=1))
-    fit = fit_rate_xy(n_list, spreads, axis="N")
-    return SpreadStudy(n_list=n_list, spreads=spreads, fit=fit)

@@ -1,4 +1,5 @@
-"""Weighted graph construction: Gaussian kernel weights, vertex degrees and W g."""
+"""Weighted graph construction: Gaussian kernel weights, vertex degrees, W g and
+the normalized Laplacian applied to a vertex function."""
 
 from __future__ import annotations
 
@@ -10,11 +11,11 @@ __all__ = [
     "DENSE_LIMIT",
     "PointCloud",
     "KernelConfig",
-    "WeightMatrix",
     "build_weights",
     "degrees",
     "degrees_from_cloud",
     "kernel_matvec",
+    "laplacian_from_cloud",
 ]
 
 # Largest N for which a stored N x N weight matrix is allowed (128 MB of
@@ -84,21 +85,22 @@ class KernelConfig:
             raise ValueError(f"truncation_tau must lie in [0, 1), got {self.truncation_tau}")
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
-    """Symmetric nonnegative kernel weights as an N x N ndarray.
+def _check_vertex_function(f, n: int) -> np.ndarray:
+    f = np.asarray(f, dtype=np.float64)
+    if f.shape != (n,):
+        raise ValueError(f"vertex function has shape {f.shape}, expected ({n},)")
+    if not np.isfinite(f).all():
+        raise ValueError("vertex function contains non-finite values")
+    return f
 
-    A truncated matrix (truncation_tau > 0) holds its dropped weights as
-    exact zeros.
-    """
 
-    entries: np.ndarray
-    epsilon: float
-    truncation_tau: float = 0.0
-
-    @property
-    def n_vertices(self) -> int:
-        return self.entries.shape[0]
+def _check_degrees(d, n: int) -> np.ndarray:
+    d = np.asarray(d, dtype=np.float64)
+    if d.shape != (n,):
+        raise ValueError(f"degree vector has shape {d.shape}, expected ({n},)")
+    if not (d > 0).all():
+        raise ValueError("degrees must be strictly positive (zero or negative degree found)")
+    return d
 
 
 def _block_rows(n: int, dim: int) -> int:
@@ -139,8 +141,11 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig):
             yield rows, cols, block
 
 
-def build_weights(cloud: PointCloud, kernel: KernelConfig) -> WeightMatrix:
+def build_weights(cloud: PointCloud, kernel: KernelConfig) -> np.ndarray:
     """Build W[u][v] = exp(-|u - v|^2 / (2 epsilon)), zeroed below truncation_tau.
+
+    Returns the N x N float64 ndarray; a truncated W (tau > 0) holds its
+    dropped weights as exact zeros. Refused above DENSE_LIMIT points.
 
     The kernel blocks come from the block loop shared with
     degrees_from_cloud, with squared distances from the norm expansion
@@ -160,12 +165,12 @@ def build_weights(cloud: PointCloud, kernel: KernelConfig) -> WeightMatrix:
             w[cols, rows] = block.T
         else:
             w[rows, cols] = np.triu(block) + np.triu(block, 1).T
-    return WeightMatrix(entries=w, epsilon=kernel.epsilon, truncation_tau=kernel.truncation_tau)
+    return w
 
 
-def degrees(w: WeightMatrix) -> np.ndarray:
+def degrees(w: np.ndarray) -> np.ndarray:
     """Vertex degrees d(u), the exact row sums of the weight matrix."""
-    return w.entries.sum(axis=1)
+    return w.sum(axis=1)
 
 
 def degrees_from_cloud(cloud: PointCloud, kernel: KernelConfig) -> np.ndarray:
@@ -191,7 +196,7 @@ def kernel_matvec(cloud: PointCloud, kernel: KernelConfig, g) -> np.ndarray:
 
     Same kernel blocks and truncation as build_weights, so memory stays at
     one block instead of W's nnz. A diagonal block multiplies over its full
-    square, so the result can differ from build_weights(...).entries @ g at
+    square, so the result can differ from build_weights(...) @ g at
     ~1e-15 relative, as degrees_from_cloud does from degrees.
     """
     g = np.asarray(g, dtype=np.float64)
@@ -204,3 +209,16 @@ def kernel_matvec(cloud: PointCloud, kernel: KernelConfig, g) -> np.ndarray:
             # W is symmetric: the block's transpose is the mirrored block
             out[cols] += g[rows] @ block
     return out
+
+
+def laplacian_from_cloud(cloud: PointCloud, kernel: KernelConfig, f, d) -> np.ndarray:
+    """Normalized Laplacian D^{-1/2} W D^{-1/2} f - f, never materializing W.
+
+    d is the degree vector (degrees_from_cloud of the same cloud and
+    kernel). One kernel_matvec pass computes W (f / sqrt d), so memory stays
+    at one kernel block. Agrees with calculus.laplacian_apply on the stored
+    W to ~1e-15 relative, as kernel_matvec does with the stored product.
+    """
+    f = _check_vertex_function(f, cloud.n_points)
+    root = np.sqrt(_check_degrees(d, cloud.n_points))
+    return kernel_matvec(cloud, kernel, f / root) / root - f

@@ -18,11 +18,17 @@ from .calculus import (
     gradient,
     inner_edge,
     inner_vertex,
-    laplacian_apply,
     laplacian_matrix,
     normalized_laplacian_matrix,
 )
-from .graph_core import KernelConfig, PointCloud, WeightMatrix, build_weights, degrees
+from .graph_core import (
+    KernelConfig,
+    PointCloud,
+    build_weights,
+    degrees,
+    degrees_from_cloud,
+    laplacian_from_cloud,
+)
 
 __all__ = ["InvariantReport", "run_invariant_suite", "VERIFY_MAX_N"]
 
@@ -41,9 +47,9 @@ class InvariantReport:
         return self.worst_residual <= self.tolerance
 
 
-def _divgrad_matrix(w: WeightMatrix, d: np.ndarray) -> np.ndarray:
+def _divgrad_matrix(w: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Matrix of divergence(gradient(.)) assembled column by column."""
-    n = w.n_vertices
+    n = w.shape[0]
     out = np.empty((n, n))
     basis = np.zeros(n)
     for k in range(n):
@@ -75,11 +81,10 @@ def run_invariant_suite(
     for s in range(n_seeds):
         rng = np.random.default_rng(s)
         cloud = PointCloud(points=rng.standard_normal((n, 3)))
-        w = build_weights(cloud, KernelConfig(epsilon=epsilon))
+        kernel = KernelConfig(epsilon=epsilon)
+        w = build_weights(cloud, kernel)
         if corrupt:
-            entries = w.entries.copy()
-            entries[0, 1] += 1e-3  # asymmetric on purpose
-            w = WeightMatrix(entries=entries, epsilon=w.epsilon)
+            w[0, 1] += 1e-3  # asymmetric on purpose
         d = degrees(w)
         f = rng.standard_normal(n)
         field = rng.standard_normal((n, n))
@@ -99,7 +104,9 @@ def run_invariant_suite(
             worst["divgrad_factorization"], float(np.abs(_divgrad_matrix(w, d) - lap).max())
         )
 
-        null = laplacian_apply(np.sqrt(d), w, d)
+        # matrix-free, like every vector output: d and W g from the same kernel blocks
+        d_free = degrees_from_cloud(cloud, kernel)
+        null = laplacian_from_cloud(cloud, kernel, np.sqrt(d_free), d_free)
         worst["sqrt_degree_null_vector"] = max(
             worst["sqrt_degree_null_vector"], float(np.abs(null).max())
         )

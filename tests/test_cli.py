@@ -13,9 +13,11 @@ from graph_calculus import (
     PointCloud,
     build_weights,
     degrees,
+    degrees_from_cloud,
     divergence,
     gradient,
     laplacian_apply,
+    laplacian_from_cloud,
     laplacian_matrix,
 )
 from graph_calculus.cli import main
@@ -226,6 +228,15 @@ class TestOperatorCommands:
         w = build_weights(cloud, KernelConfig(epsilon=1.0))
         return cloud_csv, f_csv, f, w, degrees(w)
 
+    @pytest.fixture
+    def big_cloud(self, tmp_path):
+        # one point over the stored-W limit
+        cloud_csv = tmp_path / "cloud.csv"
+        np.savetxt(cloud_csv, np.random.default_rng(8).standard_normal((4097, 2)), delimiter=",")
+        f_csv = tmp_path / "f.csv"
+        write_vector_csv(f_csv, np.zeros(4097))
+        return cloud_csv, f_csv
+
     def test_grad_matches_library(self, graph_inputs, tmp_path):
         cloud_csv, f_csv, f, w, d = graph_inputs
         out = tmp_path / "grad.csv"
@@ -259,7 +270,11 @@ class TestOperatorCommands:
             )
             == 0
         )
-        np.testing.assert_array_equal(read_vector_csv(out_v), laplacian_apply(f, w, d))
+        cloud, kernel = PointCloud.from_csv(cloud_csv), KernelConfig(epsilon=1.0)
+        vector = read_vector_csv(out_v)
+        expected = laplacian_from_cloud(cloud, kernel, f, degrees_from_cloud(cloud, kernel))
+        np.testing.assert_array_equal(vector, expected)
+        np.testing.assert_allclose(vector, laplacian_apply(f, w, d), rtol=1e-12, atol=0.0)
         out_m = tmp_path / "lapmat.csv"
         assert (
             main(
@@ -279,20 +294,45 @@ class TestOperatorCommands:
         assert code == 1
         assert "--function" in capsys.readouterr().err
 
-    def test_stored_weight_limit_applies_at_any_tau(self, tmp_path, capsys):
-        cloud_csv = tmp_path / "cloud.csv"
-        np.savetxt(cloud_csv, np.random.default_rng(8).standard_normal((4097, 2)), delimiter=",")
-        f_csv = tmp_path / "f.csv"
-        write_vector_csv(f_csv, np.zeros(4097))
-        for command in ("grad", "laplacian"):
+    def test_stored_weight_limit_applies_at_any_tau(self, big_cloud, tmp_path, capsys):
+        cloud_csv, f_csv = big_cloud
+        # every command whose output is N x N or is built from an N x N input
+        for command, extra in (
+            ("grad", ["--function", str(f_csv)]),
+            ("div", ["--field", str(f_csv)]),
+            ("laplacian", ["--matrix"]),
+        ):
             code = main(
                 [command, "--cloud", str(cloud_csv), "--epsilon", "1.0", "--tau", "1e-8",
-                 "--function", str(f_csv), "--out", str(tmp_path / "out.csv")]
+                 *extra, "--out", str(tmp_path / "out.csv")]
             )
             assert code == 1
             err = capsys.readouterr().err
             assert "limited to N <= 4096 points (got 4097)" in err
         assert not (tmp_path / "out.csv").exists()
+
+    def test_laplacian_vector_is_matrix_free(self, big_cloud, tmp_path):
+        cloud_csv, f_csv = big_cloud
+        out = tmp_path / "out.csv"
+        code = main(
+            ["laplacian", "--cloud", str(cloud_csv), "--epsilon", "1.0", "--tau", "1e-8",
+             "--function", str(f_csv), "--out", str(out)]
+        )
+        assert code == 0
+        np.testing.assert_array_equal(read_vector_csv(out), np.zeros(4097))
+
+    def test_laplacian_rejects_non_finite_function(self, graph_inputs, tmp_path, capsys):
+        cloud_csv, _, _, _, _ = graph_inputs
+        f_csv = tmp_path / "nan.csv"
+        f_csv.write_text("0.5\nnan\n2.0\n")
+        out = tmp_path / "out.csv"
+        code = main(
+            ["laplacian", "--cloud", str(cloud_csv), "--epsilon", "1.0",
+             "--function", str(f_csv), "--out", str(out)]
+        )
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_cloud_file(self, tmp_path, capsys):
         code = main(

@@ -1,10 +1,13 @@
 import dataclasses
+import importlib
 import json
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import graph_calculus
 import graph_calculus.convergence as conv
 from graph_calculus import (
     ExperimentSpec,
@@ -13,7 +16,6 @@ from graph_calculus import (
     degree_check,
     degrees,
     derive_cell_seed,
-    estimator_spread_study,
     eval_pair,
     fit_rate,
     fit_rate_xy,
@@ -22,7 +24,7 @@ from graph_calculus import (
     sample,
     sweep,
 )
-from graph_calculus import graph_core
+from graph_calculus import cli
 from graph_calculus.convergence import CellResult, classify_regime
 
 
@@ -367,18 +369,34 @@ class TestLemmaCheck:
         expected = (2.0 / 0.05) * laplacian_apply(f, w, d)
         np.testing.assert_allclose(res.estimate, expected, rtol=0.0, atol=1e-9)
 
-    def test_cells_store_no_weight_matrix(self, monkeypatch):
+    def test_cells_store_no_weight_matrix(self, monkeypatch, tmp_path):
         def refuse(*args, **kwargs):
-            raise AssertionError("a lemma_check cell stored W")
+            raise AssertionError("a vector output stored W")
 
-        # WeightMatrix is patched too, so that a module holding its own
-        # reference to build_weights is still caught
-        monkeypatch.setattr(graph_core, "build_weights", refuse)
-        monkeypatch.setattr(graph_core, "WeightMatrix", refuse)
+        # every package module that binds build_weights, so that a module
+        # holding its own reference to it is caught too
+        modules = [graph_calculus] + [
+            importlib.import_module(info.name)
+            for info in pkgutil.iter_modules(graph_calculus.__path__, "graph_calculus.")
+        ]
+        patched = {m.__name__ for m in modules if hasattr(m, "build_weights")}
+        assert {"graph_calculus", "graph_calculus.graph_core", "graph_calculus.cli"} <= patched
+        for module in modules:
+            if module.__name__ in patched:
+                monkeypatch.setattr(module, "build_weights", refuse)
+
         lemma_check("sphere", "coord_z", 300, 0.05, seed=1, mode="sparse", tau=1e-8)
         lemma_check("circle", "sin_theta", 200, 0.05, seed=1, mode="dense")
-        study = estimator_spread_study("circle", "sin_theta", [60, 80, 100], 0.1, n_seeds=2)
-        assert len(study.spreads) == 3
+        cloud_csv, f_csv = tmp_path / "cloud.csv", tmp_path / "f.csv"
+        cloud = sample("sphere", 300, seed=1)
+        np.savetxt(cloud_csv, cloud.points, delimiter=",")
+        np.savetxt(f_csv, cloud.points[:, 2])
+        for tau in ("0", "1e-8"):
+            code = cli.main(
+                ["laplacian", "--cloud", str(cloud_csv), "--epsilon", "0.05", "--tau", tau,
+                 "--function", str(f_csv), "--out", str(tmp_path / "lap.csv")]
+            )
+            assert code == 0
 
 
 class TestDegreeCheck:
@@ -521,31 +539,6 @@ class TestMapJobs:
         monkeypatch.setattr(conv.os, "cpu_count", lambda: cpus)
         assert conv._map_jobs(lambda j: -j, [1, 2, 3], parallelism) == [-1, -2, -3]
         assert recording_pool == []
-
-
-class TestSpreadStudy:
-    def test_pool_width_is_clamped_to_cpus(self, monkeypatch, recording_pool):
-        monkeypatch.setattr(conv.os, "cpu_count", lambda: 3)
-        study = estimator_spread_study(
-            "circle", "sin_theta", [40, 50, 60], 0.1, n_seeds=2, mode="dense", tau=0.0,
-            parallelism=100,
-        )
-        assert recording_pool == [3]
-        assert len(study.spreads) == 3
-
-    def test_small_study_slope_and_determinism(self):
-        study = estimator_spread_study(
-            "circle", "sin_theta", [100, 200, 400], 0.05, n_seeds=8, master_seed=3,
-            mode="dense", tau=0.0,
-        )
-        assert len(study.spreads) == 3
-        assert all(s > 0 for s in study.spreads)
-        assert study.fit.slope < 0
-        again = estimator_spread_study(
-            "circle", "sin_theta", [100, 200, 400], 0.05, n_seeds=8, master_seed=3,
-            mode="dense", tau=0.0, parallelism=2,
-        )
-        assert study.spreads == again.spreads
 
 
 class TestSignSanity:

@@ -12,6 +12,8 @@ from graph_calculus import (
     degrees,
     degrees_from_cloud,
     kernel_matvec,
+    laplacian_apply,
+    laplacian_from_cloud,
 )
 from graph_calculus import graph_core
 
@@ -78,26 +80,26 @@ class TestKernelConfig:
 class TestBuildWeights:
     def test_self_weight_is_one(self):
         w = build_weights(PointCloud(points=WORKED_POINTS), KernelConfig(epsilon=0.37))
-        assert w.entries[0, 0] == 1.0
-        assert w.entries[1, 1] == 1.0
+        assert w[0, 0] == 1.0
+        assert w[1, 1] == 1.0
 
     def test_distance_sq_two_eps_gives_inverse_e(self):
         # |u - v|^2 = 2 eps forces w = exp(-1)
         eps = 0.73
         pts = [[0.0, 0.0], [math.sqrt(2.0 * eps), 0.0]]
         w = build_weights(PointCloud(points=pts), KernelConfig(epsilon=eps))
-        assert w.entries[0, 1] == pytest.approx(math.exp(-1.0), rel=1e-15)
-        assert w.entries[0, 1] == pytest.approx(0.3678794, abs=5e-8)
+        assert w[0, 1] == pytest.approx(math.exp(-1.0), rel=1e-15)
+        assert w[0, 1] == pytest.approx(0.3678794, abs=5e-8)
 
     def test_worked_example_weights(self):
         w = build_weights(PointCloud(points=WORKED_POINTS), KernelConfig(epsilon=1.0))
         # squared distances 1, 4, 5 evaluated through the scalar kernel formula
-        assert w.entries[0, 1] == pytest.approx(math.exp(-0.5), rel=1e-15)
-        assert w.entries[1, 2] == pytest.approx(math.exp(-2.5), rel=1e-15)
-        assert w.entries[0, 2] == pytest.approx(math.exp(-2.0), rel=1e-15)
-        assert w.entries[0, 1] == pytest.approx(0.6065307, abs=5e-8)
-        assert w.entries[1, 2] == pytest.approx(0.0820850, abs=5e-8)
-        assert w.entries[0, 2] == pytest.approx(0.1353353, abs=5e-8)
+        assert w[0, 1] == pytest.approx(math.exp(-0.5), rel=1e-15)
+        assert w[1, 2] == pytest.approx(math.exp(-2.5), rel=1e-15)
+        assert w[0, 2] == pytest.approx(math.exp(-2.0), rel=1e-15)
+        assert w[0, 1] == pytest.approx(0.6065307, abs=5e-8)
+        assert w[1, 2] == pytest.approx(0.0820850, abs=5e-8)
+        assert w[0, 2] == pytest.approx(0.1353353, abs=5e-8)
 
     @pytest.mark.parametrize(
         "n,dim,seed,eps,tau,rows",
@@ -115,12 +117,12 @@ class TestBuildWeights:
         if rows is not None:
             split_blocks(n, dim, rows)
         w = build_weights(cloud, KernelConfig(epsilon=eps, truncation_tau=tau))
-        assert np.abs(w.entries - w.entries.T).max() == 0.0
+        assert np.abs(w - w.T).max() == 0.0
 
     def test_several_blocks_match_pairwise_formula(self, split_blocks):
         cloud = random_cloud(200, 5, 2)
         split_blocks(200, 5, 37)
-        w = build_weights(cloud, KernelConfig(epsilon=0.8)).entries
+        w = build_weights(cloud, KernelConfig(epsilon=0.8))
         assert np.abs(w - w.T).max() == 0.0
         x = cloud.points
         sq_dist = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
@@ -131,24 +133,24 @@ class TestBuildWeights:
         cloud = random_cloud(120, 3, 6)
         split_blocks(120, 3, 50)
         tau = 1e-4
-        dense = build_weights(cloud, KernelConfig(epsilon=0.4)).entries
-        trunc = build_weights(cloud, KernelConfig(epsilon=0.4, truncation_tau=tau)).entries
+        dense = build_weights(cloud, KernelConfig(epsilon=0.4))
+        trunc = build_weights(cloud, KernelConfig(epsilon=0.4, truncation_tau=tau))
         kept = trunc != 0
         assert np.array_equal(trunc[kept], dense[kept])
         assert dense[~kept].max() < tau
 
     def test_epsilon_monotonicity(self):
         cloud = random_cloud(40, 3, 5)
-        w_small = build_weights(cloud, KernelConfig(epsilon=0.5)).entries
-        w_big = build_weights(cloud, KernelConfig(epsilon=1.5)).entries
+        w_small = build_weights(cloud, KernelConfig(epsilon=0.5))
+        w_big = build_weights(cloud, KernelConfig(epsilon=1.5))
         off = ~np.eye(40, dtype=bool)
         assert (w_big[off] > w_small[off]).all()
 
     def test_truncation_consistency(self):
         cloud = random_cloud(120, 3, 6)
         tau = 1e-4
-        dense = build_weights(cloud, KernelConfig(epsilon=0.4)).entries
-        trunc = build_weights(cloud, KernelConfig(epsilon=0.4, truncation_tau=tau)).entries
+        dense = build_weights(cloud, KernelConfig(epsilon=0.4))
+        trunc = build_weights(cloud, KernelConfig(epsilon=0.4, truncation_tau=tau))
         assert isinstance(trunc, np.ndarray)
         kept = trunc != 0
         assert np.array_equal(trunc[kept], dense[kept])
@@ -156,7 +158,7 @@ class TestBuildWeights:
 
     def test_entries_in_unit_interval(self):
         cloud = random_cloud(60, 4, 7)
-        w = build_weights(cloud, KernelConfig(epsilon=0.9)).entries
+        w = build_weights(cloud, KernelConfig(epsilon=0.9))
         assert w.min() >= 0.0 and w.max() <= 1.0
 
     @pytest.mark.parametrize("tau", [0.0, 1e-8])
@@ -168,8 +170,8 @@ class TestBuildWeights:
 
     def test_build_is_deterministic(self):
         cloud = random_cloud(90, 3, 9)
-        w1 = build_weights(cloud, KernelConfig(epsilon=0.6)).entries
-        w2 = build_weights(cloud, KernelConfig(epsilon=0.6)).entries
+        w1 = build_weights(cloud, KernelConfig(epsilon=0.6))
+        w2 = build_weights(cloud, KernelConfig(epsilon=0.6))
         assert np.array_equal(w1, w2)
 
 
@@ -197,10 +199,10 @@ class TestDegrees:
         cloud = random_cloud(180, 3, 10)
         w = build_weights(cloud, KernelConfig(epsilon=0.7))
         d = degrees(w)
-        explicit = np.array([w.entries[i].sum() for i in range(180)])
+        explicit = np.array([w[i].sum() for i in range(180)])
         assert np.abs(d - explicit).max() <= 1e-12 * 180
         assert (d >= 1.0).all() and (d <= 180.0).all()
-        assert (d >= w.entries.diagonal()).all()
+        assert (d >= w.diagonal()).all()
 
     def test_sparse_degrees_match_dense(self):
         cloud = random_cloud(100, 3, 11)
@@ -253,7 +255,7 @@ class TestKernelMatvec:
         split_blocks(230, 3, 60)  # three full row blocks and a ragged fourth
         kernel = KernelConfig(epsilon=0.5, truncation_tau=tau)
         g = np.random.default_rng(15).uniform(0.5, 1.5, 230)
-        expected = build_weights(cloud, kernel).entries @ g
+        expected = build_weights(cloud, kernel) @ g
         np.testing.assert_allclose(kernel_matvec(cloud, kernel, g), expected, rtol=1e-12, atol=0.0)
 
     def test_rejects_length_mismatch(self):
@@ -274,7 +276,7 @@ class TestKernelMatvec:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graph_core, "_BLOCK_BYTES", 8 * n * dim * rows)
             got = kernel_matvec(cloud, kernel, g)
-            w = build_weights(cloud, kernel).entries
+            w = build_weights(cloud, kernel)
         # The norm expansion may round the distance of (u, v) and of (v, u)
         # a few ulps of |x|^2 apart. W keeps one orientation of a diagonal
         # block and the product uses both, so a weight may differ by up to
@@ -282,3 +284,31 @@ class TestKernelMatvec:
         slack = 8 * np.finfo(float).eps * (pts**2).sum(axis=1).max() / (2 * kernel.epsilon)
         bound = 1e-12 * (np.abs(w) @ np.abs(g)) + slack * np.abs(g).sum()
         assert (np.abs(got - w @ g) <= bound).all()
+
+
+class TestLaplacianFromCloud:
+    @pytest.mark.parametrize("tau", [0.0, 1e-4])
+    def test_matches_stored_reference_across_blocks(self, split_blocks, tau):
+        cloud = random_cloud(230, 3, 16)
+        split_blocks(230, 3, 60)  # three full row blocks and a ragged fourth
+        kernel = KernelConfig(epsilon=0.5, truncation_tau=tau)
+        f = np.random.default_rng(17).uniform(-2.0, 2.0, 230)
+        w = build_weights(cloud, kernel)
+        expected = laplacian_apply(f, w, degrees(w))
+        got = laplacian_from_cloud(cloud, kernel, f, degrees_from_cloud(cloud, kernel))
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "f, d, match",
+        [
+            (np.ones(4), np.ones(5), "vertex function has shape"),
+            (np.ones(5), np.ones(4), "degree vector has shape"),
+            ([1.0, np.nan, 0.0, 0.0, 0.0], np.ones(5), "non-finite"),
+            ([1.0, np.inf, 0.0, 0.0, 0.0], np.ones(5), "non-finite"),
+            (np.ones(5), [1.0, 1.0, 0.0, 1.0, 1.0], "strictly positive"),
+            (np.ones(5), [1.0, -1.0, 1.0, 1.0, 1.0], "strictly positive"),
+        ],
+    )
+    def test_rejects_bad_input(self, f, d, match):
+        with pytest.raises(ValueError, match=match):
+            laplacian_from_cloud(random_cloud(5, 2, 0), KernelConfig(epsilon=1.0), f, d)
