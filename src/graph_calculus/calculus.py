@@ -26,7 +26,6 @@ from .graph_core import _check_degrees, _check_vertex_function
 
 __all__ = [
     "gradient",
-    "gradient_norm_at",
     "divergence",
     "laplacian_apply",
     "laplacian_matrix",
@@ -55,14 +54,6 @@ def gradient(f, w: np.ndarray, d):
     d = _check_degrees(d, n)
     b = f / np.sqrt(d)
     return np.sqrt(w / 2.0) * (b[None, :] - b[:, None])
-
-
-def gradient_norm_at(g, u: int) -> float:
-    """Euclidean norm of the gradient row at vertex u: sqrt(sum_v G(u,v)^2)."""
-    n = g.shape[0]
-    if not 0 <= u < n:
-        raise ValueError(f"vertex index {u} out of range [0, {n})")
-    return float(np.sqrt(np.sum(np.asarray(g)[u] ** 2)))
 
 
 def divergence(field, w: np.ndarray, d):

@@ -25,13 +25,20 @@ import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .graph_core import KernelConfig, PointCloud, degrees_from_cloud, laplacian_from_cloud
-from .manifolds import ManifoldDescriptor, eval_pair, get_manifold, grid_sample, sample
+from .manifolds import (
+    ManifoldDescriptor,
+    eval_pair,
+    get_function,
+    get_manifold,
+    grid_sample,
+    sample,
+)
 
 __all__ = [
     "ExperimentSpec",
@@ -46,7 +53,6 @@ __all__ = [
     "lemma_check",
     "degree_check",
     "sweep",
-    "fit_rate",
     "fit_rate_xy",
     "sweep_rate_fits",
     "classify_regime",
@@ -73,12 +79,16 @@ def _check_choice(name: str, value: str, choices: tuple) -> None:
 
 
 def _check_mode(mode: str, tau: float) -> None:
-    """Reject a mode and tau that do not fit together."""
+    """Reject a mode and tau that do not pair: dense needs tau == 0, sparse tau > 0.
+
+    Only the pairing is checked here; KernelConfig owns the range [0, 1) of
+    tau, and every caller builds one before calling this.
+    """
     _check_choice("mode", mode, _MODES)
     if mode == "dense":
         if tau != 0.0:
             raise ValueError("dense mode is exact: tau must be 0")
-    elif not (0.0 < tau < 1.0):
+    elif not tau > 0.0:
         raise ValueError("sparse mode requires 0 < tau < 1")
 
 
@@ -98,12 +108,7 @@ class ExperimentSpec:
     interior_statistic: str = "median"
 
     def __post_init__(self):
-        m = get_manifold(self.manifold)  # raises with the list of valid ids
-        if self.function not in m.functions:
-            raise ValueError(
-                f"unknown function id {self.function!r} for manifold {m.name!r}; "
-                f"valid ids: {', '.join(sorted(m.functions))}"
-            )
+        get_function(self.manifold, self.function)  # raises with the list of valid ids
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         object.__setattr__(self, "epsilon_list", tuple(float(e) for e in self.epsilon_list))
         if not self.n_list:
@@ -112,8 +117,8 @@ class ExperimentSpec:
             raise ValueError("epsilon_list must be non-empty")
         if any(n < 2 for n in self.n_list):
             raise ValueError("all N in N_list must be >= 2")
-        if any(not (e > 0) or not math.isfinite(e) for e in self.epsilon_list):
-            raise ValueError("all epsilon values must be positive finite reals")
+        for e in self.epsilon_list:
+            KernelConfig(epsilon=e, truncation_tau=self.tau)  # raises on a bad epsilon or tau
         if int(self.trials) < 1:
             raise ValueError("trials must be >= 1")
         object.__setattr__(self, "trials", int(self.trials))
@@ -187,19 +192,20 @@ class ExperimentSpec:
         }
 
     def with_overrides(self, master_seed=None, mode=None, tau=None) -> "ExperimentSpec":
-        spec = self
+        """This spec with the given fields replaced, rebuilt through from_dict.
+
+        A mode that differs from the spec's drops the spec's tau, so the new
+        mode gets from_dict's default tau unless tau is given too.
+        """
+        payload = self.to_dict()
         if master_seed is not None:
-            spec = replace(spec, master_seed=int(master_seed))
-        if mode is not None:
-            new_tau = spec.tau
-            if mode == "dense":
-                new_tau = 0.0
-            elif mode == "sparse" and spec.tau == 0.0:
-                new_tau = DEFAULT_TAU
-            spec = replace(spec, mode=mode, tau=new_tau)
+            payload["master_seed"] = master_seed
+        if mode is not None and mode != self.mode:
+            payload["mode"] = mode
+            del payload["tau"]
         if tau is not None:
-            spec = replace(spec, tau=float(tau))
-        return spec
+            payload["tau"] = tau
+        return ExperimentSpec.from_dict(payload)
 
 
 def derive_cell_seed(master_seed: int, n: int, epsilon: float, trial: int) -> int:
@@ -355,11 +361,11 @@ def lemma_check(
     pin_anchor replaces point 0 with the manifold's canonical anchor so
     across-seed spread can be measured at a fixed location.
     """
+    kernel = KernelConfig(epsilon=epsilon, truncation_tau=tau)
     _check_mode(mode, tau)
     m, cloud, warned, regime = _cell_setup(manifold, n, epsilon, seed, sampling, pin_anchor)
     f, reference = eval_pair(m, fn_id, cloud)
 
-    kernel = KernelConfig(epsilon=epsilon, truncation_tau=tau)
     d = degrees_from_cloud(cloud, kernel)
     estimate = (2.0 / epsilon) * laplacian_from_cloud(cloud, kernel, f, d)
     errors = estimate - reference
@@ -405,8 +411,9 @@ def degree_check(
     share vol / ((N-1) (2 pi eps)^{m/2}) that dominates r when epsilon is
     too small for the given N. That regime is reported, not hidden.
     """
+    kernel = KernelConfig(epsilon=epsilon, truncation_tau=tau)
     m, cloud, warned, regime = _cell_setup(manifold, n, epsilon, seed, sampling, pin_anchor=False)
-    d = degrees_from_cloud(cloud, KernelConfig(epsilon=epsilon, truncation_tau=tau))
+    d = degrees_from_cloud(cloud, kernel)
     return DegreeCheckResult(
         manifold=m.name,
         n=cloud.n_points,
@@ -457,10 +464,6 @@ class SweepResult:
     spec: ExperimentSpec
     rows: tuple
     failures: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def _run_cell(spec: ExperimentSpec, n: int, epsilon: float, trial: int):
@@ -592,31 +595,6 @@ _AXIS_GETTERS = {
     "epsilon": lambda row: row.epsilon,
 }
 
-_RESPONSE_COLUMNS = (
-    "err_abs_median",
-    "err_abs_mean",
-    "err_abs_max",
-    "err_rel_median",
-    "degree_ratio_mean",
-    "degree_ratio_dev",
-    "wall_ms",
-)
-
-
-def fit_rate(rows: Sequence[CellResult], swept_axis: str, response_column: str) -> RateFit:
-    """Log-log rate fit over a result table along N or epsilon."""
-    if swept_axis not in _AXIS_GETTERS:
-        raise ValueError(f"swept_axis must be one of {tuple(_AXIS_GETTERS)}, got {swept_axis!r}")
-    if response_column not in _RESPONSE_COLUMNS:
-        raise ValueError(
-            f"unknown response column {response_column!r}; valid: {_RESPONSE_COLUMNS}"
-        )
-    getter = _AXIS_GETTERS[swept_axis]
-    xs = [getter(r) for r in rows]
-    ys = [getattr(r, response_column) for r in rows]
-    return fit_rate_xy(xs, ys, axis=swept_axis)
-
-
 def sweep_rate_fits(rows: Sequence[CellResult], interior_statistic: str) -> list[dict]:
     """Every log-log rate fit a sweep's result table supports, as plain dicts.
 
@@ -627,11 +605,14 @@ def sweep_rate_fits(rows: Sequence[CellResult], interior_statistic: str) -> list
     fits = []
     responses = dict.fromkeys(("err_rel_median", f"err_abs_{interior_statistic}"))
     for swept, group in (("N", "epsilon"), ("epsilon", "N")):
-        key = _AXIS_GETTERS[group]
+        x, key = _AXIS_GETTERS[swept], _AXIS_GETTERS[group]
         for response in responses:
             for value in sorted({key(r) for r in rows}):
+                cells = [r for r in rows if key(r) == value]
+                xs = [x(r) for r in cells]
+                ys = [getattr(r, response) for r in cells]
                 try:
-                    fit = fit_rate([r for r in rows if key(r) == value], swept, response)
+                    fit = fit_rate_xy(xs, ys, axis=swept)
                 except ValueError:
                     continue
                 fits.append(

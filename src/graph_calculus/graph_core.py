@@ -137,7 +137,8 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig):
             np.multiply(block, scale, out=block)
             np.exp(block, out=block)
             if tau > 0.0:
-                block[block < tau] = 0.0
+                # exp output is >= 0, so the dropped entries become +0.0
+                np.multiply(block, block >= tau, out=block)
             yield rows, cols, block
 
 
@@ -199,9 +200,7 @@ def kernel_matvec(cloud: PointCloud, kernel: KernelConfig, g) -> np.ndarray:
     square, so the result can differ from build_weights(...) @ g at
     ~1e-15 relative, as degrees_from_cloud does from degrees.
     """
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape != (cloud.n_points,):
-        raise ValueError(f"vector has shape {g.shape}, expected ({cloud.n_points},)")
+    g = _check_vertex_function(g, cloud.n_points)
     out = np.zeros(cloud.n_points, dtype=np.float64)
     for rows, cols, block in _kernel_blocks(cloud, kernel):
         out[rows] += block @ g[cols]

@@ -35,6 +35,7 @@ __all__ = [
     "ManifoldDescriptor",
     "MANIFOLDS",
     "get_manifold",
+    "get_function",
     "manifold_names",
     "sample",
     "grid_sample",
@@ -242,6 +243,18 @@ def get_manifold(manifold: ManifoldDescriptor | str) -> ManifoldDescriptor:
         ) from None
 
 
+def get_function(manifold: ManifoldDescriptor | str, fn_id: str) -> TestFunction:
+    """The registered test function fn_id of a manifold (id or descriptor)."""
+    m = get_manifold(manifold)
+    try:
+        return m.functions[fn_id]
+    except KeyError:
+        raise ValueError(
+            f"unknown function id {fn_id!r} for manifold {m.name!r}; "
+            f"valid ids: {', '.join(sorted(m.functions))}"
+        ) from None
+
+
 def sample(manifold: ManifoldDescriptor | str, n: int, seed: int) -> PointCloud:
     """Draw n i.i.d. uniform points on the manifold (PCG64, deterministic in seed)."""
     m = get_manifold(manifold)
@@ -269,14 +282,7 @@ def eval_pair(manifold: ManifoldDescriptor | str, fn_id: str, cloud: PointCloud)
 
     Returns (f, lap) as two length-N arrays over the cloud's points.
     """
-    m = get_manifold(manifold)
-    try:
-        fn = m.functions[fn_id]
-    except KeyError:
-        raise ValueError(
-            f"unknown function id {fn_id!r} for manifold {m.name!r}; "
-            f"valid ids: {', '.join(sorted(m.functions))}"
-        ) from None
+    fn = get_function(manifold, fn_id)
     pts = cloud.points
     return np.asarray(fn.eval(pts), dtype=np.float64), np.asarray(
         fn.laplace_beltrami(pts), dtype=np.float64

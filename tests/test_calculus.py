@@ -10,7 +10,6 @@ from graph_calculus import (
     degrees,
     divergence,
     gradient,
-    gradient_norm_at,
     inner_edge,
     inner_vertex,
     laplacian_apply,
@@ -90,30 +89,6 @@ class TestGradient:
         w, d = random_graph(30, 6)
         g = gradient(np.ones(30), w, d)
         assert np.abs(g).max() > 1e-6
-
-
-class TestGradientNorm:
-    def test_zero_field(self):
-        assert gradient_norm_at(np.zeros((4, 4)), 2) == 0.0
-
-    def test_two_point_single_term(self, two_point):
-        w, d = two_point
-        g = gradient(np.array([0.0, 1.0]), w, d)
-        assert gradient_norm_at(g, 0) == pytest.approx(TWO_POINT_GRAD, rel=1e-14)
-
-    def test_scaling_linearity(self):
-        w, d = random_graph(40, 7)
-        f = np.random.default_rng(8).standard_normal(40)
-        g1 = gradient(f, w, d)
-        g2 = gradient(2.0 * f, w, d)
-        for u in (0, 17, 39):
-            assert gradient_norm_at(g2, u) == pytest.approx(
-                2.0 * gradient_norm_at(g1, u), rel=1e-14
-            )
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            gradient_norm_at(np.zeros((4, 4)), 4)
 
 
 class TestDivergence:
@@ -263,7 +238,7 @@ class TestInnerProducts:
         w, d = random_graph(40, 29)
         f = np.random.default_rng(30).standard_normal(40)
         g = gradient(f, w, d)
-        per_vertex = sum(gradient_norm_at(g, u) ** 2 for u in range(40))
+        per_vertex = sum(np.linalg.norm(g[u]) ** 2 for u in range(40))
         assert inner_edge(g, g) == pytest.approx(per_vertex, rel=1e-12)
 
     def test_edge_antisymmetric_vs_symmetric_is_zero(self):

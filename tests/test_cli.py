@@ -20,6 +20,7 @@ from graph_calculus import (
     laplacian_from_cloud,
     laplacian_matrix,
 )
+import graph_calculus.convergence as conv
 from graph_calculus.cli import main
 from graph_calculus.convergence import fit_rate_xy
 from graph_calculus.csvio import (
@@ -128,6 +129,48 @@ class TestRun:
         row = (out / "results.csv").read_text().splitlines()[1]
         assert row.rsplit(",", 1)[1] != "0"
 
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            (dict(epsilon_list=[0.05, 0.0]), "epsilon must be a positive real, got 0.0"),
+            (dict(epsilon_list=[float("inf")]), "epsilon must be a positive real, got inf"),
+            (dict(epsilon_list=[float("nan")]), "epsilon must be a positive real, got nan"),
+            (dict(mode="sparse", tau=1.0), "truncation_tau must lie in [0, 1), got 1.0"),
+        ],
+        ids=["eps-0", "eps-inf", "eps-nan", "tau-1"],
+    )
+    def test_bad_kernel_parameters_exit_1(self, tmp_path, capsys, overrides, match):
+        path = write_spec(tmp_path, **overrides)  # json writes inf and nan as literals
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert match in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+    def test_failed_cells_exit_2(self, tmp_path, monkeypatch):
+        path = write_spec(tmp_path, N_list=[40, 80], epsilon_list=[0.1], trials=2)
+        good = tmp_path / "good"
+        assert main(["run", "--config", str(path), "--out", str(good)]) == 0
+        real = conv.lemma_check
+
+        def flaky(manifold, fn_id, n, epsilon, **kwargs):
+            if n == 40:
+                raise RuntimeError("synthetic cell blow-up")
+            return real(manifold, fn_id, n, epsilon, **kwargs)
+
+        monkeypatch.setattr(conv, "lemma_check", flaky)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["n_cells"], summary["n_failed"]) == (4, 2)
+        assert [(f["N"], f["trial"], f["message"]) for f in summary["failures"]] == [
+            (40, 0, "synthetic cell blow-up"),
+            (40, 1, "synthetic cell blow-up"),
+        ]
+        header, *rows = (good / "results.csv").read_text().splitlines(keepends=True)
+        kept = [r for r in rows if r.split(",")[2] == "80"]
+        assert len(kept) == 2
+        assert (out / "results.csv").read_text() == header + "".join(kept)
+
     def test_dense_tau_override_conflict_exit_1(self, spec_file, tmp_path, capsys):
         code = main(
             ["run", "--config", str(spec_file), "--out", str(tmp_path / "o"), "--tau", "0.5"]
@@ -214,6 +257,11 @@ class TestDegreeCheckCommand:
         code = main(["degree-check", "--manifold", "x", "--n", "10", "--epsilon", "0.1"])
         assert code == 1
         assert "circle, sphere, torus" in capsys.readouterr().err
+
+    def test_bad_epsilon_exit_1(self, capsys):
+        code = main(["degree-check", "--manifold", "circle", "--n", "10", "--epsilon", "-1"])
+        assert code == 1
+        assert "epsilon must be a positive real, got -1.0" in capsys.readouterr().err
 
 
 class TestOperatorCommands:

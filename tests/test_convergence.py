@@ -17,7 +17,6 @@ from graph_calculus import (
     degrees,
     derive_cell_seed,
     eval_pair,
-    fit_rate,
     fit_rate_xy,
     laplacian_apply,
     lemma_check,
@@ -153,6 +152,40 @@ class TestExperimentSpec:
         assert sparse.tau == conv.DEFAULT_TAU
         assert sparse.with_overrides(mode="dense").tau == 0.0
 
+    @pytest.mark.parametrize(
+        "start, overrides, expected",
+        [
+            (("dense", 0.0), dict(mode="sparse"), ("sparse", conv.DEFAULT_TAU)),
+            (("sparse", 1e-6), dict(mode="dense"), ("dense", 0.0)),
+            (("sparse", 1e-6), dict(mode="sparse"), ("sparse", 1e-6)),
+            (("sparse", 1e-6), dict(tau=1e-4), ("sparse", 1e-4)),
+            (("dense", 0.0), dict(mode="sparse", tau=1e-4), ("sparse", 1e-4)),
+            (("sparse", 1e-6), dict(mode="dense", tau=0.0), ("dense", 0.0)),
+        ],
+        ids=["to-sparse", "to-dense", "same-mode", "tau", "tau-to-sparse", "tau-to-dense"],
+    )
+    def test_overrides_table(self, start, overrides, expected):
+        mode, tau = start
+        spec = ExperimentSpec.from_dict(self.minimal(mode=mode, tau=tau, master_seed=4))
+        got = spec.with_overrides(**overrides)
+        assert (got.mode, got.tau) == expected
+        assert got == dataclasses.replace(spec, mode=expected[0], tau=expected[1])
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            (dict(epsilon_list=[0.05, 0.0]), "epsilon must be a positive real, got 0.0"),
+            (dict(epsilon_list=[math.inf]), "epsilon must be a positive real, got inf"),
+            (dict(epsilon_list=[math.nan]), "epsilon must be a positive real, got nan"),
+            (dict(mode="sparse", tau=1.0), r"truncation_tau must lie in \[0, 1\), got 1.0"),
+            (dict(mode="sparse", tau=2.5), r"truncation_tau must lie in \[0, 1\), got 2.5"),
+        ],
+        ids=["eps-0", "eps-inf", "eps-nan", "tau-1", "tau-2.5"],
+    )
+    def test_kernel_rules_come_from_kernel_config(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            ExperimentSpec.from_dict(self.minimal(**overrides))
+
 
 class TestSeedDerivation:
     def test_deterministic_and_distinct(self):
@@ -229,6 +262,7 @@ class TestRateFit:
         assert math.isnan(fit_rate_xy(x, np.ones(4)).r_squared)
 
     def test_rows_interface(self):
+        # one epsilon, so every fit runs along N; a single N per group has no epsilon fit
         rows = []
         for n in (10, 100, 1000):
             rows.append(
@@ -251,8 +285,13 @@ class TestRateFit:
                     regime="bias",
                 )
             )
-        assert fit_rate(rows, "N", "err_abs_max").slope == pytest.approx(-1.0, abs=1e-12)
-        assert fit_rate(rows, "N", "err_rel_median").slope == pytest.approx(-0.5, abs=1e-12)
+        fits = conv.sweep_rate_fits(rows, "max")
+        assert [(f["swept_axis"], f["response"]) for f in fits] == [
+            ("N", "err_rel_median"),
+            ("N", "err_abs_max"),
+        ]
+        assert fits[0]["slope"] == pytest.approx(-0.5, abs=1e-12)
+        assert fits[1]["slope"] == pytest.approx(-1.0, abs=1e-12)
 
     def test_sweep_rate_fits_groups_and_skips(self):
         def row(n, eps, err_abs):
@@ -297,12 +336,6 @@ class TestRateFit:
             "r_squared",
         ]
 
-    def test_rows_interface_validation(self):
-        with pytest.raises(ValueError, match="swept_axis"):
-            fit_rate([], "seed", "err_abs_max")
-        with pytest.raises(ValueError, match="response column"):
-            fit_rate([], "N", "nonsense")
-
 
 class TestLemmaCheck:
     def test_grid_example_bound_and_oracle_agreement(self, oracle):
@@ -336,10 +369,24 @@ class TestLemmaCheck:
             lemma_check("circle", "sin_theta", 50, 0.05, mode="dense", tau=0.5)
         with pytest.raises(ValueError, match="0 < tau < 1"):
             lemma_check("circle", "sin_theta", 50, 0.05, mode="sparse", tau=0.0)
+        with pytest.raises(ValueError, match="truncation_tau"):
+            lemma_check("circle", "sin_theta", 50, 0.05, mode="sparse", tau=1.0)
         # N above the stored-W limit runs in dense mode and matches sparse
         dense = lemma_check("circle", "sin_theta", 5000, 0.05, seed=9, mode="dense")
         sparse = lemma_check("circle", "sin_theta", 5000, 0.05, seed=9, mode="sparse", tau=1e-12)
         np.testing.assert_allclose(sparse.estimate, dense.estimate, atol=1e-8)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.05])
+    def test_bad_epsilon_fails_before_sampling(self, monkeypatch, epsilon):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled a cloud for a bad epsilon")
+
+        monkeypatch.setattr(conv, "sample", refuse)
+        monkeypatch.setattr(conv, "grid_sample", refuse)
+        with pytest.raises(ValueError, match="epsilon must be a positive real"):
+            lemma_check("circle", "sin_theta", 50, epsilon)
+        with pytest.raises(ValueError, match="epsilon must be a positive real"):
+            degree_check("circle", 50, epsilon)
 
     def test_low_neighbor_warning(self):
         with pytest.warns(UserWarning, match="too few neighbors"):
@@ -506,18 +553,17 @@ class TestSweep:
         real = conv.lemma_check
 
         def flaky(manifold, fn_id, n, epsilon, **kwargs):
-            if n == 60 and kwargs.get("seed", 0) % 2 == 0:
+            if n == 60:
                 raise RuntimeError("synthetic cell blow-up")
             return real(manifold, fn_id, n, epsilon, **kwargs)
 
         monkeypatch.setattr(conv, "lemma_check", flaky)
         result = sweep(self.base_spec(trials=1))
-        assert not result.ok or not any(f.n == 60 for f in result.failures)
-        total = len(result.rows) + len(result.failures)
-        assert total == 4
-        for failure in result.failures:
-            assert failure.message == "synthetic cell blow-up"
-            assert failure.n == 60
+        assert [(f.n, f.epsilon, f.message) for f in result.failures] == [
+            (60, 0.05, "synthetic cell blow-up"),
+            (60, 0.1, "synthetic cell blow-up"),
+        ]
+        assert [(r.n, r.epsilon) for r in result.rows] == [(120, 0.05), (120, 0.1)]
 
     def test_grid_sampling_rows_identical_across_trials(self):
         spec = self.base_spec(sampling="grid", trials=2, n_list=(64,), epsilon_list=(0.05,))

@@ -138,6 +138,7 @@ class TestBuildWeights:
         kept = trunc != 0
         assert np.array_equal(trunc[kept], dense[kept])
         assert dense[~kept].max() < tau
+        assert not np.signbit(trunc).any()  # dropped weights are +0.0, never -0.0
 
     def test_epsilon_monotonicity(self):
         cloud = random_cloud(40, 3, 5)
@@ -259,8 +260,10 @@ class TestKernelMatvec:
         np.testing.assert_allclose(kernel_matvec(cloud, kernel, g), expected, rtol=1e-12, atol=0.0)
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            kernel_matvec(random_cloud(5, 2, 0), KernelConfig(epsilon=1.0), np.ones(4))
+        cloud, kernel = random_cloud(5, 2, 0), KernelConfig(epsilon=1.0)
+        for g, match in [(np.ones(4), "shape"), ([1.0, np.nan, 0.0, 0.0, 0.0], "non-finite")]:
+            with pytest.raises(ValueError, match=match):
+                kernel_matvec(cloud, kernel, g)
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(
