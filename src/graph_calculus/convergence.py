@@ -109,8 +109,18 @@ class ExperimentSpec:
 
     def __post_init__(self):
         get_function(self.manifold, self.function)  # raises with the list of valid ids
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
-        object.__setattr__(self, "epsilon_list", tuple(float(e) for e in self.epsilon_list))
+        for name, field, convert in (
+            ("N_list", "n_list", lambda v: tuple(int(n) for n in v)),
+            ("epsilon_list", "epsilon_list", lambda v: tuple(float(e) for e in v)),
+            ("trials", "trials", int),
+            ("master_seed", "master_seed", int),
+            ("tau", "tau", float),
+        ):
+            value = getattr(self, field)
+            try:
+                object.__setattr__(self, field, convert(value))
+            except (TypeError, ValueError):
+                raise ValueError(f"{name} has the wrong type: {value!r}") from None
         if not self.n_list:
             raise ValueError("N_list must be non-empty")
         if not self.epsilon_list:
@@ -119,12 +129,10 @@ class ExperimentSpec:
             raise ValueError("all N in N_list must be >= 2")
         for e in self.epsilon_list:
             KernelConfig(epsilon=e, truncation_tau=self.tau)  # raises on a bad epsilon or tau
-        if int(self.trials) < 1:
+        if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        object.__setattr__(self, "trials", int(self.trials))
-        if int(self.master_seed) < 0:
+        if self.master_seed < 0:
             raise ValueError("master_seed must be a nonnegative 64-bit integer")
-        object.__setattr__(self, "master_seed", int(self.master_seed))
         _check_mode(self.mode, self.tau)
         _check_choice("sampling", self.sampling, _SAMPLINGS)
         _check_choice("interior_statistic", self.interior_statistic, _STATISTICS)
@@ -158,12 +166,12 @@ class ExperimentSpec:
         return cls(
             manifold=payload["manifold"],
             function=payload["function"],
-            n_list=tuple(payload["N_list"]),
-            epsilon_list=tuple(payload["epsilon_list"]),
+            n_list=payload["N_list"],
+            epsilon_list=payload["epsilon_list"],
             trials=payload["trials"],
             master_seed=payload["master_seed"],
             mode=mode,
-            tau=float(tau),
+            tau=tau,
             sampling=payload.get("sampling", "random"),
             interior_statistic=payload.get("interior_statistic", "median"),
         )
@@ -464,6 +472,7 @@ class SweepResult:
     spec: ExperimentSpec
     rows: tuple
     failures: tuple
+    pool_width: int  # threads the cells ran on
 
 
 def _run_cell(spec: ExperimentSpec, n: int, epsilon: float, trial: int):
@@ -504,13 +513,29 @@ def _run_cell(spec: ExperimentSpec, n: int, epsilon: float, trial: int):
     )
 
 
-def _map_jobs(fn, jobs: list, parallelism: int) -> list:
-    """[fn(j) for j in jobs], on min(parallelism, len(jobs), cpu count) threads.
+def _usable_cpus() -> int | None:
+    """CPUs this process may run on (its affinity mask where the OS has one).
 
-    Results come back in job order; a width of 1 or less runs serially.
+    Like os.cpu_count, which is the fallback, None when unknown.
     """
-    width = min(int(parallelism), len(jobs), os.cpu_count() or 1)
-    if width <= 1:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
+def _pool_width(parallelism: int, n_jobs: int) -> int:
+    """min(parallelism, n_jobs, usable CPUs) threads, and at least 1."""
+    return max(1, min(int(parallelism), n_jobs, _usable_cpus() or 1))
+
+
+def _map_jobs(fn, jobs: list, parallelism: int) -> list:
+    """[fn(j) for j in jobs], on _pool_width(parallelism, len(jobs)) threads.
+
+    Results come back in job order; a width of 1 runs serially. The pool is
+    the only source of parallelism: each kernel pass runs BLAS on one thread.
+    """
+    width = _pool_width(parallelism, len(jobs))
+    if width == 1:
         return [fn(j) for j in jobs]
     with ThreadPoolExecutor(max_workers=width) as pool:
         return list(pool.map(fn, jobs))
@@ -520,10 +545,10 @@ def sweep(spec: ExperimentSpec, parallelism: int = 1) -> SweepResult:
     """Run every (N, epsilon, trial) cell of the spec.
 
     Cells are independent; with parallelism > 1 they run on a thread pool
-    of min(parallelism, cells, cpu count) workers (the heavy numpy kernels
-    release the GIL). The result table is in spec order regardless of
-    completion order, and cell seeds are derived from values, so the
-    numbers are identical at any parallelism.
+    of min(parallelism, cells, usable CPUs) workers (the heavy numpy kernels
+    release the GIL, and run BLAS on one thread each). The result table is
+    in spec order regardless of completion order, and cell seeds are
+    derived from values, so the numbers are identical at any parallelism.
     """
     cells = [
         (n, eps, t)
@@ -542,10 +567,11 @@ def sweep(spec: ExperimentSpec, parallelism: int = 1) -> SweepResult:
         spec.mode,
         spec.sampling,
     )
-    outcomes = _map_jobs(lambda c: _run_cell(spec, *c), cells, parallelism)
+    width = _pool_width(parallelism, len(cells))
+    outcomes = _map_jobs(lambda c: _run_cell(spec, *c), cells, width)
     rows = tuple(o for o in outcomes if isinstance(o, CellResult))
     failures = tuple(o for o in outcomes if isinstance(o, CellFailure))
-    return SweepResult(spec=spec, rows=rows, failures=failures)
+    return SweepResult(spec=spec, rows=rows, failures=failures, pool_width=width)
 
 
 # ----------------------------------------------------------------------

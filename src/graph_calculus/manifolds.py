@@ -237,7 +237,7 @@ def get_manifold(manifold: ManifoldDescriptor | str) -> ManifoldDescriptor:
         return manifold
     try:
         return MANIFOLDS[manifold]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable id
         raise ValueError(
             f"unknown manifold id {manifold!r}; valid ids: {', '.join(manifold_names())}"
         ) from None
@@ -248,7 +248,7 @@ def get_function(manifold: ManifoldDescriptor | str, fn_id: str) -> TestFunction
     m = get_manifold(manifold)
     try:
         return m.functions[fn_id]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable id
         raise ValueError(
             f"unknown function id {fn_id!r} for manifold {m.name!r}; "
             f"valid ids: {', '.join(sorted(m.functions))}"

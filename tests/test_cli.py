@@ -21,6 +21,7 @@ from graph_calculus import (
     laplacian_matrix,
 )
 import graph_calculus.convergence as conv
+from graph_calculus import graph_core
 from graph_calculus.cli import main
 from graph_calculus.convergence import fit_rate_xy
 from graph_calculus.csvio import (
@@ -209,6 +210,47 @@ class TestRun:
         assert stat.S_IMODE((tmp_path / "open.txt").stat().st_mode) == 0o644
         assert stat.S_IMODE((tmp_path / "private.txt").stat().st_mode) == 0o600
         assert sorted(p.name for p in tmp_path.iterdir()) == ["open.txt", "private.txt"]
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [(dict(tau=None), "tau"), (dict(N_list=5), "N_list"), (dict(function=["a"]), "function")],
+        ids=["tau-null", "N_list-number", "function-list"],
+    )
+    def test_wrongly_typed_spec_field_exit_1(self, tmp_path, capsys, overrides, field):
+        path = write_spec(tmp_path, **overrides)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid experiment spec: ")
+        assert field in err
+        assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("k, width", [("1", 1), ("2", 2), ("64", 4)])
+    def test_summary_records_thread_layout(self, tmp_path, monkeypatch, k, width):
+        monkeypatch.setattr(conv, "_usable_cpus", lambda: 4)
+        path = write_spec(tmp_path)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out), "--parallelism", k]) == 0
+        threads = json.loads((out / "summary.json").read_text())["threads"]
+        assert threads["cell_pool"] == width
+        assert threads["blas_in_kernel_passes"] == graph_core.kernel_blas_threads()
+        assert threads["blas_in_kernel_passes"] in (1, None)
+
+    def test_results_do_not_depend_on_blas_threads(self, tmp_path):
+        # Kernel passes run BLAS on one thread, so the host's OpenBLAS thread
+        # count cannot move the last bits of the block products.
+        import graph_calculus
+
+        src = str(Path(graph_calculus.__file__).resolve().parents[1])
+        path = write_spec(tmp_path, N_list=[2000], epsilon_list=[0.005], trials=2)
+        csv = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas-{threads}"
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            cmd = [sys.executable, "-m", "graph_calculus.cli", "run", "--config", str(path)]
+            subprocess.run(cmd + ["--out", str(out)], env=env, capture_output=True, check=True)
+            csv.append((out / "results.csv").read_bytes())
+        assert csv[0] == csv[1]
 
     def test_summary_hash_matches_file(self, spec_file, tmp_path):
         import hashlib

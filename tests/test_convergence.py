@@ -543,7 +543,7 @@ class TestSweep:
         assert serial == threaded
 
     def test_pool_width_is_clamped_to_cells(self, monkeypatch, recording_pool):
-        monkeypatch.setattr(conv.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(conv, "_usable_cpus", lambda: 4)
         spec = self.base_spec(n_list=(60,), epsilon_list=(0.05,), trials=2)
         rows = sweep(spec, parallelism=16).rows
         assert recording_pool == [2]
@@ -573,7 +573,7 @@ class TestSweep:
 
 class TestMapJobs:
     def test_width_is_min_of_k_jobs_and_cpus(self, monkeypatch, recording_pool):
-        monkeypatch.setattr(conv.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(conv, "_usable_cpus", lambda: 4)
         square = lambda j: j * j
         assert conv._map_jobs(square, [1, 2, 3], 64) == [1, 4, 9]
         assert conv._map_jobs(square, list(range(10)), 64) == [j * j for j in range(10)]
@@ -582,9 +582,22 @@ class TestMapJobs:
 
     @pytest.mark.parametrize("parallelism, cpus", [(1, 4), (0, 4), (-3, 4), (8, 1), (8, None)])
     def test_width_one_or_less_runs_serially(self, monkeypatch, recording_pool, parallelism, cpus):
-        monkeypatch.setattr(conv.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(conv, "_usable_cpus", lambda: cpus)
         assert conv._map_jobs(lambda j: -j, [1, 2, 3], parallelism) == [-1, -2, -3]
         assert recording_pool == []
+
+
+class TestUsableCpus:
+    def test_follows_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(conv.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(conv.os, "cpu_count", lambda: 8)
+        assert conv._usable_cpus() == 1
+
+    @pytest.mark.parametrize("cpus", [8, None])
+    def test_falls_back_to_cpu_count(self, monkeypatch, cpus):
+        monkeypatch.delattr(conv.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(conv.os, "cpu_count", lambda: cpus)
+        assert conv._usable_cpus() == cpus
 
 
 class TestSignSanity:
