@@ -359,6 +359,10 @@ def _cmd_plot_data(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_CONFIG
+    for col in (args.x_axis, args.y_column):
+        if any(isinstance(_group_value(row[col]), str) for row in rows):
+            print(f"error: column {col!r} is not numeric", file=sys.stderr)
+            return EXIT_CONFIG
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

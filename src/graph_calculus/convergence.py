@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 import os
 import time
 import warnings
@@ -92,6 +93,12 @@ def _check_mode(mode: str, tau: float) -> None:
         raise ValueError("sparse mode requires 0 < tau < 1")
 
 
+def _number(convert, value):
+    if isinstance(value, (bool, str)):  # float() would read true as 1.0, "0.5" as 0.5
+        raise TypeError(f"{value!r} is not a number")
+    return convert(value)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Declarative sweep over (N, epsilon, trial seeds) for one manifold/function."""
@@ -110,11 +117,11 @@ class ExperimentSpec:
     def __post_init__(self):
         get_function(self.manifold, self.function)  # raises with the list of valid ids
         for name, field, convert in (
-            ("N_list", "n_list", lambda v: tuple(int(n) for n in v)),
-            ("epsilon_list", "epsilon_list", lambda v: tuple(float(e) for e in v)),
-            ("trials", "trials", int),
-            ("master_seed", "master_seed", int),
-            ("tau", "tau", float),
+            ("N_list", "n_list", lambda v: tuple(_number(operator.index, n) for n in v)),
+            ("epsilon_list", "epsilon_list", lambda v: tuple(_number(float, e) for e in v)),
+            ("trials", "trials", lambda v: _number(operator.index, v)),
+            ("master_seed", "master_seed", lambda v: _number(operator.index, v)),
+            ("tau", "tau", lambda v: _number(float, v)),
         ):
             value = getattr(self, field)
             try:
@@ -131,7 +138,7 @@ class ExperimentSpec:
             KernelConfig(epsilon=e, truncation_tau=self.tau)  # raises on a bad epsilon or tau
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.master_seed < 0:
+        if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must be a nonnegative 64-bit integer")
         _check_mode(self.mode, self.tau)
         _check_choice("sampling", self.sampling, _SAMPLINGS)

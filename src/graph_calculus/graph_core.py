@@ -27,10 +27,10 @@ log = logging.getLogger("graph_calculus.graph_core")
 # float64 at 4096), whatever tau. Sweeps and degree passes never store W.
 DENSE_LIMIT = 4096
 
-# Sets the side r of the square kernel blocks: the largest r for which
-# r * N * dim float64 values fit in this many bytes. Degrees and W g are
-# summed block by block, so changing it moves them in the last bits.
-_BLOCK_BYTES = 48_000_000
+# Side of the square kernel tiles: a 224 x 224 float64 tile (392 KB) and its
+# temporaries stay in one core's L2 cache (sides 192-320 timed alike, 512 was
+# slower). W g is summed tile by tile, so changing it moves sums in the last bits.
+_TILE = 224
 
 
 @dataclass(frozen=True)
@@ -206,15 +206,12 @@ def kernel_blas_threads() -> int | None:
     return _one_blas_thread.threads()
 
 
-def _block_rows(n: int, dim: int) -> int:
-    return max(1, min(n, _BLOCK_BYTES // (8 * max(1, n * dim))))
-
-
 def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig):
-    """Yield (rows, cols, block) for each block on or above the diagonal of W.
+    """Yield (rows, cols, block) for each tile on or above the diagonal of W.
 
-    rows and cols are index slices; block holds the kernel weights between
-    them, entries below tau zeroed. Squared distances use the norm expansion
+    rows and cols are slices of at most _TILE indices; block holds the kernel
+    weights between them, entries below tau zeroed, so a pass needs
+    O(N + _TILE^2) memory at any N. Squared distances use the norm expansion
     |u|^2 + |v|^2 - 2 u.v (one BLAS product), whose roundoff is not symmetric
     in u and v, so a diagonal block is not exactly symmetric.
     """
@@ -223,11 +220,10 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig):
     scale = -1.0 / (2.0 * kernel.epsilon)
     tau = kernel.truncation_tau
     sq_norms = np.einsum("ij,ij->i", x, x)
-    step = _block_rows(n, cloud.ambient_dim)
-    for i0 in range(0, n, step):
-        rows = slice(i0, min(i0 + step, n))
-        for j0 in range(i0, n, step):
-            cols = slice(j0, min(j0 + step, n))
+    for i0 in range(0, n, _TILE):
+        rows = slice(i0, min(i0 + _TILE, n))
+        for j0 in range(i0, n, _TILE):
+            cols = slice(j0, min(j0 + _TILE, n))
             block = x[rows] @ x[cols].T
             np.multiply(block, -2.0, out=block)
             block += sq_norms[rows, None]
@@ -251,11 +247,11 @@ def build_weights(cloud: PointCloud, kernel: KernelConfig) -> np.ndarray:
     Returns the N x N float64 ndarray; a truncated W (tau > 0) holds its
     dropped weights as exact zeros. Refused above DENSE_LIMIT points.
 
-    The kernel blocks come from the block loop shared with
-    degrees_from_cloud, with squared distances from the norm expansion
-    |u|^2 + |v|^2 - 2 u.v. Each unordered block is computed once and mirrored
-    (a diagonal block keeps its upper triangle), so the result is symmetric
-    bit-for-bit. The diagonal is exactly 1 (it survives any tau < 1).
+    The kernel tiles come from the block loop shared with kernel_matvec,
+    with squared distances from the norm expansion |u|^2 + |v|^2 - 2 u.v.
+    Each unordered tile is computed once and mirrored (a diagonal tile keeps
+    its upper triangle), so the result is symmetric bit-for-bit. The diagonal
+    is exactly 1 (it survives any tau < 1).
     """
     n = cloud.n_points
     if n > DENSE_LIMIT:
@@ -279,29 +275,21 @@ def degrees(w: np.ndarray) -> np.ndarray:
 
 
 def degrees_from_cloud(cloud: PointCloud, kernel: KernelConfig) -> np.ndarray:
-    """Degrees computed straight from the cloud, never materializing W.
+    """Degrees d = W 1 computed straight from the cloud, never materializing W.
 
-    Same kernel blocks and truncation as build_weights followed by degrees;
-    intended for large N, beyond the stored-W limit (degree sweeps at
-    N ~ 2e4). Row sums of a diagonal block run over its full square, so
-    they can differ from the stored-W degrees at ~1e-15 relative, far
-    inside the 1e-12 N row-sum consistency budget.
+    One kernel_matvec pass with g = 1, in O(N + tile^2) memory, for N beyond
+    the stored-W limit (degree sweeps at N ~ 2e4). A diagonal tile is summed
+    over its full square, so d can differ from degrees(build_weights(...)) at
+    ~1e-15 relative, far inside the 1e-12 N row-sum consistency budget.
     """
-    d = np.zeros(cloud.n_points, dtype=np.float64)
-    with _one_blas_thread:
-        for rows, cols, block in _kernel_blocks(cloud, kernel):
-            d[rows] += block.sum(axis=1)
-            if rows != cols:
-                # an off-diagonal block serves both its row and column vertices
-                d[cols] += block.sum(axis=0)
-    return d
+    return kernel_matvec(cloud, kernel, np.ones(cloud.n_points))
 
 
 def kernel_matvec(cloud: PointCloud, kernel: KernelConfig, g) -> np.ndarray:
     """The product W @ g computed straight from the cloud, never materializing W.
 
-    Same kernel blocks and truncation as build_weights, so memory stays at
-    one block instead of W's nnz. A diagonal block multiplies over its full
+    Same kernel tiles and truncation as build_weights, so memory stays at
+    one tile instead of W's nnz. A diagonal tile multiplies over its full
     square, so the result can differ from build_weights(...) @ g at
     ~1e-15 relative, as degrees_from_cloud does from degrees.
     """

@@ -5,16 +5,16 @@ from graph_calculus import graph_core
 
 @pytest.fixture
 def split_blocks(monkeypatch):
-    """Shrink the kernel block so an (n, dim) cloud spans several row blocks.
+    """Shrink the kernel tile so an n-point cloud spans several row blocks.
 
-    At the default block size every test cloud fits in one diagonal block,
-    which would leave the off-diagonal blocks untested. The last block is
-    ragged (rows does not divide n).
+    At the default tile most test clouds fit in one diagonal block, which
+    would leave the off-diagonal blocks untested. The last block is ragged
+    (rows does not divide n).
     """
 
-    def split(n, dim, rows):
-        monkeypatch.setattr(graph_core, "_BLOCK_BYTES", 8 * n * dim * rows)
-        assert graph_core._block_rows(n, dim) == rows < n
+    def split(n, rows):
+        monkeypatch.setattr(graph_core, "_TILE", rows)
+        assert rows < n
         assert n % rows != 0
 
     return split

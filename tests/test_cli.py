@@ -213,8 +213,24 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "overrides, field",
-        [(dict(tau=None), "tau"), (dict(N_list=5), "N_list"), (dict(function=["a"]), "function")],
-        ids=["tau-null", "N_list-number", "function-list"],
+        [
+            (dict(tau=None), "tau"),
+            (dict(N_list=5), "N_list"),
+            (dict(function=["a"]), "function"),
+            (dict(N_list=[500.7]), "N_list"),
+            (dict(N_list=[40.0]), "N_list"),
+            (dict(trials=2.9), "trials"),
+            (dict(master_seed=True), "master_seed"),
+            (dict(master_seed=2**70), "master_seed"),
+            (dict(epsilon_list=[True]), "epsilon_list"),
+            (dict(tau=False), "tau"),
+            (dict(epsilon_list=["0.05"]), "epsilon_list"),
+        ],
+        ids=[
+            "tau-null", "N_list-number", "function-list", "N_list-fraction", "N_list-float",
+            "trials-fraction", "master_seed-bool", "master_seed-2**70", "epsilon_list-bool",
+            "tau-bool", "epsilon_list-string",
+        ],
     )
     def test_wrongly_typed_spec_field_exit_1(self, tmp_path, capsys, overrides, field):
         path = write_spec(tmp_path, **overrides)
@@ -543,6 +559,19 @@ class TestPlotData:
         )
         assert code == 1
         assert "bogus_col" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "x, y, text", [("manifold", "err_rel_median", "manifold"), ("N", "mode", "mode")]
+    )
+    def test_text_column_exits_1_without_files(self, results_dir, tmp_path, capsys, x, y, text):
+        out = tmp_path / "p"
+        code = main(
+            ["plot-data", "--results", str(results_dir / "results.csv"),
+             "--x", x, "--y", y, "--group-by", "epsilon", "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: column {text!r} is not numeric\n"
+        assert not out.exists()
 
 
 class TestArgumentHandling:

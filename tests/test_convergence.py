@@ -126,6 +126,11 @@ class TestExperimentSpec:
             ("mode", "banded", "mode"),
             ("sampling", "sobol", "sampling"),
             ("interior_statistic", "p99", "interior_statistic"),
+            ("master_seed", 2**64, "nonnegative 64-bit integer"),
+            ("master_seed", True, r"master_seed has the wrong type: True"),
+            ("trials", 2.9, r"trials has the wrong type: 2.9"),
+            ("N_list", [500.0], r"N_list has the wrong type: \[500.0\]"),
+            ("epsilon_list", [True], r"epsilon_list has the wrong type: \[True\]"),
         ],
     )
     def test_field_validation(self, field, value, match):
@@ -406,7 +411,7 @@ class TestLemmaCheck:
 
     @pytest.mark.parametrize("mode, tau", [("dense", 0.0), ("sparse", 1e-8)])
     def test_matches_stored_weight_route(self, split_blocks, mode, tau):
-        split_blocks(700, 3, 160)  # four full row blocks and a ragged fifth
+        split_blocks(700, 160)  # four full row blocks and a ragged fifth
         res = lemma_check("sphere", "coord_z", 700, 0.05, seed=4, mode=mode, tau=tau)
         cloud = sample("sphere", 700, seed=4)
         w = build_weights(cloud, KernelConfig(epsilon=0.05, truncation_tau=tau))

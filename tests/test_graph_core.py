@@ -1,6 +1,7 @@
 import logging
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -17,6 +18,7 @@ from graph_calculus import (
     kernel_matvec,
     laplacian_apply,
     laplacian_from_cloud,
+    sample,
 )
 from graph_calculus import graph_core
 
@@ -118,13 +120,13 @@ class TestBuildWeights:
     def test_symmetry_is_bit_exact(self, split_blocks, n, dim, seed, eps, tau, rows):
         cloud = random_cloud(n, dim, seed)
         if rows is not None:
-            split_blocks(n, dim, rows)
+            split_blocks(n, rows)
         w = build_weights(cloud, KernelConfig(epsilon=eps, truncation_tau=tau))
         assert np.abs(w - w.T).max() == 0.0
 
     def test_several_blocks_match_pairwise_formula(self, split_blocks):
         cloud = random_cloud(200, 5, 2)
-        split_blocks(200, 5, 37)
+        split_blocks(200, 37)
         w = build_weights(cloud, KernelConfig(epsilon=0.8))
         assert np.abs(w - w.T).max() == 0.0
         x = cloud.points
@@ -134,7 +136,7 @@ class TestBuildWeights:
 
     def test_truncation_consistency_across_blocks(self, split_blocks):
         cloud = random_cloud(120, 3, 6)
-        split_blocks(120, 3, 50)
+        split_blocks(120, 50)
         tau = 1e-4
         dense = build_weights(cloud, KernelConfig(epsilon=0.4))
         trunc = build_weights(cloud, KernelConfig(epsilon=0.4, truncation_tau=tau))
@@ -226,7 +228,7 @@ class TestDegreesFromCloud:
 
     def test_handles_blocking_boundaries(self, split_blocks):
         cloud = random_cloud(1201, 2, 13)
-        split_blocks(1201, 2, 300)  # four full row blocks and a one-row fifth
+        split_blocks(1201, 300)  # four full row blocks and a one-row fifth
         kernel = KernelConfig(epsilon=0.2, truncation_tau=1e-6)
         d_direct = degrees_from_cloud(cloud, kernel)
         d_route = degrees(build_weights(cloud, kernel))
@@ -256,7 +258,7 @@ class TestKernelMatvec:
     @pytest.mark.parametrize("tau", [0.0, 1e-4])
     def test_matches_stored_product_across_blocks(self, split_blocks, tau):
         cloud = random_cloud(230, 3, 14)
-        split_blocks(230, 3, 60)  # three full row blocks and a ragged fourth
+        split_blocks(230, 60)  # three full row blocks and a ragged fourth
         kernel = KernelConfig(epsilon=0.5, truncation_tau=tau)
         g = np.random.default_rng(15).uniform(0.5, 1.5, 230)
         expected = build_weights(cloud, kernel) @ g
@@ -276,11 +278,10 @@ class TestKernelMatvec:
     )
     def test_matches_stored_product_on_degenerate_clouds(self, case, log_eps, tau):
         pts, g, rows = case
-        n, dim = pts.shape
         cloud = PointCloud(points=pts)
         kernel = KernelConfig(epsilon=10.0**log_eps, truncation_tau=tau)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graph_core, "_BLOCK_BYTES", 8 * n * dim * rows)
+            mp.setattr(graph_core, "_TILE", rows)
             got = kernel_matvec(cloud, kernel, g)
             w = build_weights(cloud, kernel)
         # The norm expansion may round the distance of (u, v) and of (v, u)
@@ -292,11 +293,28 @@ class TestKernelMatvec:
         assert (np.abs(got - w @ g) <= bound).all()
 
 
+class TestPassMemory:
+    @pytest.mark.parametrize("manifold", ["circle", "sphere"])
+    @pytest.mark.parametrize("name", ["degrees_from_cloud", "kernel_matvec"])
+    def test_peak_is_a_few_tiles_plus_vectors(self, manifold, name):
+        # A pass holds O(1) tiles and O(1) length-N vectors, whatever N and
+        # the ambient dimension; a block size that grew with N would not.
+        n = 4000
+        cloud, kernel = sample(manifold, n, 0), KernelConfig(epsilon=0.05, truncation_tau=1e-8)
+        tracemalloc.start()
+        try:
+            KERNEL_PASSES[name](cloud, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (4 * graph_core._TILE**2 + 8 * n)
+
+
 class TestLaplacianFromCloud:
     @pytest.mark.parametrize("tau", [0.0, 1e-4])
     def test_matches_stored_reference_across_blocks(self, split_blocks, tau):
         cloud = random_cloud(230, 3, 16)
-        split_blocks(230, 3, 60)  # three full row blocks and a ragged fourth
+        split_blocks(230, 60)  # three full row blocks and a ragged fourth
         kernel = KernelConfig(epsilon=0.5, truncation_tau=tau)
         f = np.random.default_rng(17).uniform(-2.0, 2.0, 230)
         w = build_weights(cloud, kernel)
@@ -369,7 +387,7 @@ class TestBlasPin:
     def test_pass_runs_on_one_thread_and_restores(
         self, split_blocks, fake_blas, threads_at_blocks, name
     ):
-        split_blocks(50, 2, 20)  # 3 row blocks, so 6 upper-triangle blocks
+        split_blocks(50, 20)  # 3 row blocks, so 6 upper-triangle blocks
         KERNEL_PASSES[name](random_cloud(50, 2, 0), KernelConfig(epsilon=0.5))
         assert threads_at_blocks == [1] * 6
         assert fake_blas.threads == 3
@@ -393,7 +411,7 @@ class TestBlasPin:
         # More workers than cores and a short switch interval, so the passes
         # enter and leave the pin interleaved; a lost depth update would
         # restore the count while another pass is still running.
-        split_blocks(40, 2, 15)
+        split_blocks(40, 15)
         cloud, kernel = random_cloud(40, 2, 1), KernelConfig(epsilon=0.5)
         expected = degrees_from_cloud(cloud, kernel)
         previous = sys.getswitchinterval()
