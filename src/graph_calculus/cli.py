@@ -43,7 +43,6 @@ from .graph_core import (
     build_weights,
     degrees,
     degrees_from_cloud,
-    kernel_blas_threads,
     laplacian_from_cloud,
 )
 from .manifolds import get_manifold, registry_payload
@@ -204,10 +203,7 @@ def _cmd_run(args) -> int:
             for r in result.rows
         ],
         "rate_fits": sweep_rate_fits(result.rows, spec.interior_statistic),
-        "threads": {
-            "cell_pool": result.pool_width,
-            "blas_in_kernel_passes": kernel_blas_threads(),
-        },
+        "threads": {"cell_pool": result.pool_width},
         "total_wall_ms": sum(r.wall_ms for r in result.rows),
         "results_csv_sha256": hashlib.sha256(csv_text.encode()).hexdigest(),
     }

@@ -535,25 +535,13 @@ def _pool_width(parallelism: int, n_jobs: int) -> int:
     return max(1, min(int(parallelism), n_jobs, _usable_cpus() or 1))
 
 
-def _map_jobs(fn, jobs: list, parallelism: int) -> list:
-    """[fn(j) for j in jobs], on _pool_width(parallelism, len(jobs)) threads.
-
-    Results come back in job order; a width of 1 runs serially. The pool is
-    the only source of parallelism: each kernel pass runs BLAS on one thread.
-    """
-    width = _pool_width(parallelism, len(jobs))
-    if width == 1:
-        return [fn(j) for j in jobs]
-    with ThreadPoolExecutor(max_workers=width) as pool:
-        return list(pool.map(fn, jobs))
-
-
 def sweep(spec: ExperimentSpec, parallelism: int = 1) -> SweepResult:
     """Run every (N, epsilon, trial) cell of the spec.
 
-    Cells are independent; with parallelism > 1 they run on a thread pool
-    of min(parallelism, cells, usable CPUs) workers (the heavy numpy kernels
-    release the GIL, and run BLAS on one thread each). The result table is
+    Cells are independent. They run on a thread pool of min(parallelism,
+    cells, usable CPUs) workers, or serially when that width is 1; numpy
+    releases the GIL in the kernel tiles, whose products stay on the calling
+    thread, so the pool is the only source of threads. The result table is
     in spec order regardless of completion order, and cell seeds are
     derived from values, so the numbers are identical at any parallelism.
     """
@@ -575,7 +563,11 @@ def sweep(spec: ExperimentSpec, parallelism: int = 1) -> SweepResult:
         spec.sampling,
     )
     width = _pool_width(parallelism, len(cells))
-    outcomes = _map_jobs(lambda c: _run_cell(spec, *c), cells, width)
+    if width == 1:
+        outcomes = [_run_cell(spec, *c) for c in cells]
+    else:
+        with ThreadPoolExecutor(max_workers=width) as pool:
+            outcomes = list(pool.map(lambda c: _run_cell(spec, *c), cells))
     rows = tuple(o for o in outcomes if isinstance(o, CellResult))
     failures = tuple(o for o in outcomes if isinstance(o, CellFailure))
     return SweepResult(spec=spec, rows=rows, failures=failures, pool_width=width)

@@ -3,8 +3,6 @@ the normalized Laplacian applied to a vertex function."""
 
 from __future__ import annotations
 
-import logging
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +15,8 @@ __all__ = [
     "degrees",
     "degrees_from_cloud",
     "kernel_matvec",
-    "kernel_blas_threads",
     "laplacian_from_cloud",
 ]
-
-log = logging.getLogger("graph_calculus.graph_core")
 
 # Largest N for which a stored N x N weight matrix is allowed (128 MB of
 # float64 at 4096), whatever tau. Sweeps and degree passes never store W.
@@ -30,6 +25,8 @@ DENSE_LIMIT = 4096
 # Side of the square kernel tiles: a 224 x 224 float64 tile (392 KB) and its
 # temporaries stay in one core's L2 cache (sides 192-320 timed alike, 512 was
 # slower). W g is summed tile by tile, so changing it moves sums in the last bits.
+# Products this small stay under BLAS's own threading thresholds, so a pass
+# runs on its calling thread, unless the cloud has a high ambient dimension.
 _TILE = 224
 
 
@@ -108,104 +105,6 @@ def _check_degrees(d, n: int) -> np.ndarray:
     return d
 
 
-# Thread-count entry points of the OpenBLAS builds a process may have loaded:
-# numpy's bundled scipy-openblas, a 64-bit-integer build, a plain build.
-_OPENBLAS_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-def _find_openblas():
-    """(get, set) thread-count functions of the OpenBLAS loaded in this process.
-
-    None on any other BLAS, or on a host without /proc/self/maps (not Linux).
-    """
-    import ctypes
-
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_SYMBOLS:
-            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                log.debug("kernel passes pin BLAS to one thread with %s from %s", set_name, path)
-                return get, set_
-    return None
-
-
-class _BlasPin:
-    """Context manager that runs BLAS on one thread for as long as it is held.
-
-    Every kernel pass holds it around its block loop. The pool of cells is
-    then the only source of parallelism: per-block BLAS threads on top of it
-    oversubscribe the cores, and the block products are too small to gain
-    from them. The thread count is process-wide, so the holders of all
-    threads share one pin: the first in saves the caller's count and sets 1,
-    the last out restores it. The library is looked up on first use, not at
-    import; without one the pin does nothing.
-    """
-
-    def __init__(self, find=_find_openblas):
-        self._find = find
-        self._lock = threading.Lock()
-        self._controls = None
-        self._searched = False
-        self._depth = 0
-        self._saved = 0
-
-    def _blas(self):
-        # callers hold self._lock
-        if not self._searched:
-            self._controls = self._find()
-            self._searched = True
-            if self._controls is None:
-                log.debug("no OpenBLAS thread control found: kernel passes keep the BLAS threads")
-        return self._controls
-
-    def threads(self) -> int | None:
-        """BLAS threads inside a held pin: 1, or None when no library can be pinned."""
-        with self._lock:
-            return None if self._blas() is None else 1
-
-    def __enter__(self):
-        with self._lock:
-            blas = self._blas()
-            if blas is not None:
-                if self._depth == 0:
-                    get, set_ = blas
-                    self._saved = get()
-                    set_(1)
-                self._depth += 1
-        return self
-
-    def __exit__(self, *exc):
-        with self._lock:
-            if self._controls is not None:
-                self._depth -= 1
-                if self._depth == 0:
-                    self._controls[1](self._saved)
-        return False
-
-
-_one_blas_thread = _BlasPin()
-
-
-def kernel_blas_threads() -> int | None:
-    """BLAS threads a kernel pass runs on: 1, or None when BLAS could not be pinned."""
-    return _one_blas_thread.threads()
-
-
 def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig):
     """Yield (rows, cols, block) for each tile on or above the diagonal of W.
 
@@ -259,13 +158,12 @@ def build_weights(cloud: PointCloud, kernel: KernelConfig) -> np.ndarray:
             f"stored weight matrix limited to N <= {DENSE_LIMIT} points (got {n})"
         )
     w = np.empty((n, n), dtype=np.float64)
-    with _one_blas_thread:
-        for rows, cols, block in _kernel_blocks(cloud, kernel):
-            if rows != cols:
-                w[rows, cols] = block
-                w[cols, rows] = block.T
-            else:
-                w[rows, cols] = np.triu(block) + np.triu(block, 1).T
+    for rows, cols, block in _kernel_blocks(cloud, kernel):
+        if rows != cols:
+            w[rows, cols] = block
+            w[cols, rows] = block.T
+        else:
+            w[rows, cols] = np.triu(block) + np.triu(block, 1).T
     return w
 
 
@@ -295,12 +193,11 @@ def kernel_matvec(cloud: PointCloud, kernel: KernelConfig, g) -> np.ndarray:
     """
     g = _check_vertex_function(g, cloud.n_points)
     out = np.zeros(cloud.n_points, dtype=np.float64)
-    with _one_blas_thread:
-        for rows, cols, block in _kernel_blocks(cloud, kernel):
-            out[rows] += block @ g[cols]
-            if rows != cols:
-                # W is symmetric: the block's transpose is the mirrored block
-                out[cols] += g[rows] @ block
+    for rows, cols, block in _kernel_blocks(cloud, kernel):
+        out[rows] += block @ g[cols]
+        if rows != cols:
+            # W is symmetric: the block's transpose is the mirrored block
+            out[cols] += g[rows] @ block
     return out
 
 

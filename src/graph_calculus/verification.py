@@ -71,6 +71,8 @@ def run_invariant_suite(
         raise ValueError(f"verification runs dense; N must be <= {VERIFY_MAX_N}, got {n}")
     if n < 2:
         raise ValueError("need N >= 2")
+    if n_seeds < 1:
+        raise ValueError(f"need at least 1 seed, got {n_seeds}")
     worst = {
         "gradient_antisymmetry": 0.0,
         "adjointness": 0.0,

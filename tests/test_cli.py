@@ -21,7 +21,6 @@ from graph_calculus import (
     laplacian_matrix,
 )
 import graph_calculus.convergence as conv
-from graph_calculus import graph_core
 from graph_calculus.cli import main
 from graph_calculus.convergence import fit_rate_xy
 from graph_calculus.csvio import (
@@ -248,13 +247,11 @@ class TestRun:
         out = tmp_path / "o"
         assert main(["run", "--config", str(path), "--out", str(out), "--parallelism", k]) == 0
         threads = json.loads((out / "summary.json").read_text())["threads"]
-        assert threads["cell_pool"] == width
-        assert threads["blas_in_kernel_passes"] == graph_core.kernel_blas_threads()
-        assert threads["blas_in_kernel_passes"] in (1, None)
+        assert threads == {"cell_pool": width}
 
     def test_results_do_not_depend_on_blas_threads(self, tmp_path):
-        # Kernel passes run BLAS on one thread, so the host's OpenBLAS thread
-        # count cannot move the last bits of the block products.
+        # A kernel tile's products are too small for BLAS to thread, so the
+        # host's OpenBLAS thread count cannot move the last bits of their sums.
         import graph_calculus
 
         src = str(Path(graph_calculus.__file__).resolve().parents[1])
@@ -291,6 +288,13 @@ class TestVerifyCommand:
     def test_oversized_n_rejected(self, capsys):
         assert main(["verify", "--n", "2000"]) == 1
         assert "1000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_no_seeds_exit_1(self, capsys, seeds):
+        assert main(["verify", "--n", "60", "--seeds", seeds]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: need at least 1 seed, got {seeds}\n"
+        assert "PASS" not in captured.out
 
 
 class TestDegreeCheckCommand:

@@ -547,6 +547,30 @@ class TestSweep:
         threaded = [strip_wall(r) for r in sweep(spec, parallelism=4).rows]
         assert serial == threaded
 
+    @pytest.mark.parametrize(
+        "parallelism, cpus, cells, width",
+        [
+            (64, 4, 3, 3),
+            (64, 4, 10, 4),
+            (2, 4, 10, 2),
+            (1, 4, 3, 1),
+            (0, 4, 3, 1),
+            (-3, 4, 3, 1),
+            (8, 1, 3, 1),
+            (8, None, 3, 1),
+        ],
+    )
+    def test_pool_width(self, monkeypatch, recording_pool, parallelism, cpus, cells, width):
+        # min(K, cells, usable CPUs) threads, read once; a width of 1 runs serially
+        lookups = []
+        monkeypatch.setattr(conv, "_usable_cpus", lambda: lookups.append(cpus) or cpus)
+        spec = self.base_spec(n_list=(30,), epsilon_list=(0.05,), trials=cells)
+        result = sweep(spec, parallelism=parallelism)
+        assert recording_pool == ([] if width == 1 else [width])
+        assert result.pool_width == width
+        assert len(lookups) == 1
+        assert [r.trial for r in result.rows] == list(range(cells))
+
     def test_pool_width_is_clamped_to_cells(self, monkeypatch, recording_pool):
         monkeypatch.setattr(conv, "_usable_cpus", lambda: 4)
         spec = self.base_spec(n_list=(60,), epsilon_list=(0.05,), trials=2)
@@ -574,22 +598,6 @@ class TestSweep:
         spec = self.base_spec(sampling="grid", trials=2, n_list=(64,), epsilon_list=(0.05,))
         rows = sweep(spec).rows
         assert rows[0].err_abs_max == rows[1].err_abs_max
-
-
-class TestMapJobs:
-    def test_width_is_min_of_k_jobs_and_cpus(self, monkeypatch, recording_pool):
-        monkeypatch.setattr(conv, "_usable_cpus", lambda: 4)
-        square = lambda j: j * j
-        assert conv._map_jobs(square, [1, 2, 3], 64) == [1, 4, 9]
-        assert conv._map_jobs(square, list(range(10)), 64) == [j * j for j in range(10)]
-        assert conv._map_jobs(square, list(range(10)), 2) == [j * j for j in range(10)]
-        assert recording_pool == [3, 4, 2]
-
-    @pytest.mark.parametrize("parallelism, cpus", [(1, 4), (0, 4), (-3, 4), (8, 1), (8, None)])
-    def test_width_one_or_less_runs_serially(self, monkeypatch, recording_pool, parallelism, cpus):
-        monkeypatch.setattr(conv, "_usable_cpus", lambda: cpus)
-        assert conv._map_jobs(lambda j: -j, [1, 2, 3], parallelism) == [-1, -2, -3]
-        assert recording_pool == []
 
 
 class TestUsableCpus:

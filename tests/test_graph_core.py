@@ -1,8 +1,11 @@
-import logging
+import json
 import math
+import os
+import subprocess
 import sys
+import textwrap
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,6 +296,14 @@ class TestKernelMatvec:
         assert (np.abs(got - w @ g) <= bound).all()
 
 
+# The three kernel passes, each as f(cloud, kernel).
+KERNEL_PASSES = {
+    "build_weights": build_weights,
+    "degrees_from_cloud": degrees_from_cloud,
+    "kernel_matvec": lambda cloud, kernel: kernel_matvec(cloud, kernel, np.ones(cloud.n_points)),
+}
+
+
 class TestPassMemory:
     @pytest.mark.parametrize("manifold", ["circle", "sphere"])
     @pytest.mark.parametrize("name", ["degrees_from_cloud", "kernel_matvec"])
@@ -308,6 +319,49 @@ class TestPassMemory:
         finally:
             tracemalloc.stop()
         assert peak < 8 * (4 * graph_core._TILE**2 + 8 * n)
+
+
+# Times a degree pass plus a W g pass on each manifold, after one warm-up pass
+# and a pause: idle BLAS workers spin for about 0.1 s after start-up before
+# they sleep, and a cold pass would be billed for that spin.
+_THREAD_PROBE = textwrap.dedent(
+    """
+    import json, time
+    import numpy as np
+    from graph_calculus import KernelConfig, degrees_from_cloud, kernel_matvec, sample
+
+    n, kernel = 4000, KernelConfig(epsilon=0.05, truncation_tau=1e-8)
+    degrees_from_cloud(sample("circle", n, 0), kernel)
+    time.sleep(0.5)
+    ratios = {}
+    for manifold in ("circle", "sphere", "torus"):
+        cloud = sample(manifold, n, 1)
+        process, thread = time.process_time(), time.thread_time()
+        degrees_from_cloud(cloud, kernel)
+        kernel_matvec(cloud, kernel, np.linspace(-1.0, 1.0, n))
+        ratios[manifold] = (time.process_time() - process) / (time.thread_time() - thread)
+    print(json.dumps(ratios))
+    """
+)
+
+
+class TestPassThreads:
+    def test_tile_products_stay_on_the_calling_thread(self):
+        # With BLAS allowed 2 threads, a pass must still run on the thread
+        # that calls it: the tiles are too small for BLAS to thread, so the
+        # cell pool is the only source of threads. Both clocks count CPU
+        # time, so a busy host cannot fail this; a tile large enough for
+        # BLAS to thread reads about 2.
+        import graph_calculus
+
+        src = str(Path(graph_calculus.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"}
+        done = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True, text=True, check=True
+        )
+        ratios = json.loads(done.stdout)
+        assert set(ratios) == {"circle", "sphere", "torus"}
+        assert all(r <= 1.25 for r in ratios.values()), ratios
 
 
 class TestLaplacianFromCloud:
@@ -336,130 +390,3 @@ class TestLaplacianFromCloud:
     def test_rejects_bad_input(self, f, d, match):
         with pytest.raises(ValueError, match=match):
             laplacian_from_cloud(random_cloud(5, 2, 0), KernelConfig(epsilon=1.0), f, d)
-
-
-# The three kernel passes, each as f(cloud, kernel).
-KERNEL_PASSES = {
-    "build_weights": build_weights,
-    "degrees_from_cloud": degrees_from_cloud,
-    "kernel_matvec": lambda cloud, kernel: kernel_matvec(cloud, kernel, np.ones(cloud.n_points)),
-}
-
-
-class FakeBlas:
-    """Stand-in thread-count controls; the count starts at a caller's 3."""
-
-    def __init__(self):
-        self.threads = 3
-
-    def get(self):
-        return self.threads
-
-    def set(self, k):
-        self.threads = k
-
-
-@pytest.fixture
-def fake_blas(monkeypatch):
-    blas = FakeBlas()
-    pin = graph_core._BlasPin(find=lambda: (blas.get, blas.set))
-    monkeypatch.setattr(graph_core, "_one_blas_thread", pin)
-    return blas
-
-
-@pytest.fixture
-def threads_at_blocks(monkeypatch, fake_blas):
-    """The fake BLAS thread count seen at every kernel block, in order."""
-    seen = []
-    real = graph_core._kernel_blocks
-
-    def spy(cloud, kernel):
-        for block in real(cloud, kernel):
-            seen.append(fake_blas.threads)
-            yield block
-
-    monkeypatch.setattr(graph_core, "_kernel_blocks", spy)
-    return seen
-
-
-class TestBlasPin:
-    @pytest.mark.parametrize("name", KERNEL_PASSES)
-    def test_pass_runs_on_one_thread_and_restores(
-        self, split_blocks, fake_blas, threads_at_blocks, name
-    ):
-        split_blocks(50, 20)  # 3 row blocks, so 6 upper-triangle blocks
-        KERNEL_PASSES[name](random_cloud(50, 2, 0), KernelConfig(epsilon=0.5))
-        assert threads_at_blocks == [1] * 6
-        assert fake_blas.threads == 3
-
-    @pytest.mark.parametrize("name", KERNEL_PASSES)
-    def test_restored_when_the_pass_raises(self, monkeypatch, fake_blas, name):
-        seen = []
-
-        def failing(cloud, kernel):
-            seen.append(fake_blas.threads)
-            raise MemoryError("synthetic")
-            yield
-
-        monkeypatch.setattr(graph_core, "_kernel_blocks", failing)
-        with pytest.raises(MemoryError, match="synthetic"):
-            KERNEL_PASSES[name](random_cloud(10, 2, 0), KernelConfig(epsilon=0.5))
-        assert seen == [1]
-        assert fake_blas.threads == 3
-
-    def test_concurrent_passes_share_one_pin(self, split_blocks, fake_blas, threads_at_blocks):
-        # More workers than cores and a short switch interval, so the passes
-        # enter and leave the pin interleaved; a lost depth update would
-        # restore the count while another pass is still running.
-        split_blocks(40, 15)
-        cloud, kernel = random_cloud(40, 2, 1), KernelConfig(epsilon=0.5)
-        expected = degrees_from_cloud(cloud, kernel)
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(degrees_from_cloud, cloud, kernel) for _ in range(60)]
-                results = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(previous)
-        assert all(np.array_equal(d, expected) for d in results)
-        assert threads_at_blocks == [1] * (61 * 6)
-        assert fake_blas.threads == 3
-
-    def test_loaded_openblas_count_is_restored(self, caplog):
-        controls = graph_core._find_openblas()
-        if controls is None:
-            pytest.skip("no OpenBLAS thread control in this process")
-        get, set_ = controls
-        before = get()
-        pin = graph_core._BlasPin()
-        cloud, kernel = random_cloud(300, 3, 2), KernelConfig(epsilon=0.5)
-        try:
-            set_(2)
-            with caplog.at_level(logging.DEBUG, logger="graph_calculus.graph_core"):
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(graph_core, "_one_blas_thread", pin)
-                    with ThreadPoolExecutor(max_workers=2) as pool:
-                        list(pool.map(lambda _: degrees_from_cloud(cloud, kernel), range(4)))
-                    with pin:
-                        inside = get()
-            after = get()
-        finally:
-            set_(before)
-        assert (inside, after) == (1, 2)
-        assert pin.threads() == 1
-        messages = [r.getMessage() for r in caplog.records]
-        assert len(messages) == 1 and "kernel passes pin BLAS to one thread" in messages[0]
-
-    def test_without_a_library_outputs_are_bit_identical(self, monkeypatch, caplog):
-        cloud, kernel = random_cloud(120, 3, 3), KernelConfig(epsilon=0.5, truncation_tau=1e-8)
-        pinned = [run(cloud, kernel) for run in KERNEL_PASSES.values()]
-        monkeypatch.setattr(graph_core, "_OPENBLAS_SYMBOLS", ())
-        monkeypatch.setattr(graph_core, "_one_blas_thread", graph_core._BlasPin())
-        with caplog.at_level(logging.DEBUG, logger="graph_calculus.graph_core"):
-            for _ in range(2):
-                unpinned = [run(cloud, kernel) for run in KERNEL_PASSES.values()]
-                assert all(np.array_equal(a, b) for a, b in zip(pinned, unpinned))
-        assert graph_core.kernel_blas_threads() is None
-        messages = [r.getMessage() for r in caplog.records]
-        assert len(messages) == 1 and "no OpenBLAS thread control found" in messages[0]
