@@ -29,6 +29,13 @@ DENSE_LIMIT = 4096
 # runs on its calling thread, unless the cloud has a high ambient dimension.
 _TILE = 224
 
+# Largest |y_u|^2 / eps (y the centred cloud) of a tile for which its tile
+# pairs take the factorized kernel. By Cauchy-Schwarz every exponent
+# y_u.y_v / eps of such a pair is at most this, below exp's overflow at
+# 709.78, and every a_u = exp(-|y_u|^2 / (2 eps)) is at least exp(-350), far
+# from underflow. Pairs past it take the norm expansion.
+_EXP_LIMIT = 700.0
+
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -106,38 +113,61 @@ def _check_degrees(d, n: int) -> np.ndarray:
 
 
 def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig):
-    """Yield (rows, cols, block) for each tile on or above the diagonal of W.
+    """Yield (rows, cols, block, left, right) for each tile on or above the diagonal of W.
 
-    rows and cols are slices of at most _TILE indices; block holds the kernel
-    weights between them, entries below tau zeroed, so a pass needs
-    O(N + _TILE^2) memory at any N. Squared distances use the norm expansion
-    |u|^2 + |v|^2 - 2 u.v (one BLAS product), whose roundoff is not symmetric
-    in u and v, so a diagonal block is not exactly symmetric.
+    rows and cols are slices of at most _TILE indices, and
+    W[rows, cols] = left[:, None] * block * right[None, :] off the diagonal.
+    The cloud is centred once, y = x - mean(x), and the kernel factorizes as
+    W = diag(a) exp(Y Y^T / eps) diag(a) with a_u = exp(-|y_u|^2 / (2 eps)):
+    a tile is one GEMM on y / sqrt(eps) and an in-place exp, with left and
+    right slices of a. A tile pair past _EXP_LIMIT takes the norm expansion
+    -(|y_u|^2 + |y_v|^2 - 2 y_u.y_v) / (2 eps) on the same product instead,
+    and carries unit factors. At tau > 0, right is already multiplied in
+    (right is then 1) and the entries with left * block below tau are zeroed.
+
+    A diagonal tile's own diagonal is 0: the self-weight W_uu = 1 is left to
+    the consumer. GEMM roundoff is not symmetric in u and v, so a diagonal
+    tile is not exactly symmetric. Every tile is written into one buffer,
+    which the next tile overwrites, so a pass needs O(N + _TILE^2) memory
+    at any N.
     """
-    x = cloud.points
     n = cloud.n_points
-    scale = -1.0 / (2.0 * kernel.epsilon)
     tau = kernel.truncation_tau
-    sq_norms = np.einsum("ij,ij->i", x, x)
-    for i0 in range(0, n, _TILE):
+    x = cloud.points
+    ys = x - x.mean(axis=0)
+    ys /= np.sqrt(kernel.epsilon)
+    half = 0.5 * np.einsum("ij,ij->i", ys, ys)
+    a = np.exp(-half)
+    starts = range(0, n, _TILE)
+    fits = [2.0 * half[i0 : i0 + _TILE].max() <= _EXP_LIMIT for i0 in starts]
+    ones = np.ones(_TILE)
+    tile = np.empty(_TILE * _TILE)
+    keep = np.empty(_TILE * _TILE, dtype=bool)
+    for bi, i0 in enumerate(starts):
         rows = slice(i0, min(i0 + _TILE, n))
-        for j0 in range(i0, n, _TILE):
+        nr = rows.stop - i0
+        for bj, j0 in enumerate(starts[bi:], start=bi):
             cols = slice(j0, min(j0 + _TILE, n))
-            block = x[rows] @ x[cols].T
-            np.multiply(block, -2.0, out=block)
-            block += sq_norms[rows, None]
-            block += sq_norms[None, cols]
-            np.maximum(block, 0.0, out=block)  # GEMM roundoff can dip below 0
-            if j0 == i0:
-                # self-distances are 0 by definition; roundoff here would be
-                # amplified by 1/(2 eps) into the self-weight
-                np.fill_diagonal(block, 0.0)
-            np.multiply(block, scale, out=block)
+            nc = cols.stop - j0
+            block = tile[: nr * nc].reshape(nr, nc)
+            np.matmul(ys[rows], ys[cols].T, out=block)
+            if fits[bi] and fits[bj]:
+                left, right = a[rows], a[cols]
+            else:
+                block -= half[rows, None]
+                block -= half[None, cols]
+                np.minimum(block, 0.0, out=block)  # GEMM roundoff can lift it above 0
+                left, right = ones[:nr], ones[:nc]
             np.exp(block, out=block)
+            if j0 == i0:
+                np.fill_diagonal(block, 0.0)
             if tau > 0.0:
-                # exp output is >= 0, so the dropped entries become +0.0
-                np.multiply(block, block >= tau, out=block)
-            yield rows, cols, block
+                np.multiply(block, right, out=block)
+                right = ones[:nc]
+                mask = np.greater_equal(block, tau / left[:, None], out=keep[: nr * nc].reshape(nr, nc))
+                # the block is >= 0, so the dropped entries become +0.0
+                np.multiply(block, mask, out=block)
+            yield rows, cols, block, left, right
 
 
 def build_weights(cloud: PointCloud, kernel: KernelConfig) -> np.ndarray:
@@ -146,11 +176,14 @@ def build_weights(cloud: PointCloud, kernel: KernelConfig) -> np.ndarray:
     Returns the N x N float64 ndarray; a truncated W (tau > 0) holds its
     dropped weights as exact zeros. Refused above DENSE_LIMIT points.
 
-    The kernel tiles come from the block loop shared with kernel_matvec,
-    with squared distances from the norm expansion |u|^2 + |v|^2 - 2 u.v.
-    Each unordered tile is computed once and mirrored (a diagonal tile keeps
-    its upper triangle), so the result is symmetric bit-for-bit. The diagonal
-    is exactly 1 (it survives any tau < 1).
+    The kernel tiles come from the block loop shared with kernel_matvec, in
+    the factorized form a_u exp(y_u.y_v / eps) a_v on the centred cloud
+    (the norm expansion for tile pairs past the exp overflow bound). Each
+    tile is scaled by its column factor before its row factor, the order of
+    the masked tiles, so a weight kept at tau > 0 is bit-equal to the same
+    weight at tau = 0. Each unordered tile is computed once and mirrored (a
+    diagonal tile keeps its upper triangle), so the result is symmetric
+    bit-for-bit. The diagonal is set to exactly 1 (it survives any tau < 1).
     """
     n = cloud.n_points
     if n > DENSE_LIMIT:
@@ -158,12 +191,15 @@ def build_weights(cloud: PointCloud, kernel: KernelConfig) -> np.ndarray:
             f"stored weight matrix limited to N <= {DENSE_LIMIT} points (got {n})"
         )
     w = np.empty((n, n), dtype=np.float64)
-    for rows, cols, block in _kernel_blocks(cloud, kernel):
+    for rows, cols, block, left, right in _kernel_blocks(cloud, kernel):
+        block *= right
+        block *= left[:, None]
         if rows != cols:
             w[rows, cols] = block
             w[cols, rows] = block.T
         else:
             w[rows, cols] = np.triu(block) + np.triu(block, 1).T
+    np.fill_diagonal(w, 1.0)
     return w
 
 
@@ -187,17 +223,19 @@ def kernel_matvec(cloud: PointCloud, kernel: KernelConfig, g) -> np.ndarray:
     """The product W @ g computed straight from the cloud, never materializing W.
 
     Same kernel tiles and truncation as build_weights, so memory stays at
-    one tile instead of W's nnz. A diagonal tile multiplies over its full
-    square, so the result can differ from build_weights(...) @ g at
+    one tile instead of W's nnz. A tile's factors go on the vectors, in
+    O(N) work: W[rows, cols] g[cols] = left * (block @ (right * g[cols])).
+    The self-weight W_uu = 1 adds g exactly. A diagonal tile multiplies over
+    its full square, so the result can differ from build_weights(...) @ g at
     ~1e-15 relative, as degrees_from_cloud does from degrees.
     """
     g = _check_vertex_function(g, cloud.n_points)
-    out = np.zeros(cloud.n_points, dtype=np.float64)
-    for rows, cols, block in _kernel_blocks(cloud, kernel):
-        out[rows] += block @ g[cols]
+    out = g.copy()
+    for rows, cols, block, left, right in _kernel_blocks(cloud, kernel):
+        out[rows] += left * (block @ (right * g[cols]))
         if rows != cols:
             # W is symmetric: the block's transpose is the mirrored block
-            out[cols] += g[rows] @ block
+            out[cols] += right * ((left * g[rows]) @ block)
     return out
 
 

@@ -31,6 +31,11 @@ def random_cloud(n, dim, seed):
     return PointCloud(points=rng.standard_normal((n, dim)))
 
 
+def pairwise_weights(x, eps):
+    """W from its formula, with each difference x_u - x_v taken directly."""
+    return np.exp(-((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2) / (2 * eps))
+
+
 # the worked 3-point example: (0,0), (1,0), (0,2) with eps = 1
 WORKED_POINTS = [[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]
 
@@ -132,10 +137,8 @@ class TestBuildWeights:
         split_blocks(200, 37)
         w = build_weights(cloud, KernelConfig(epsilon=0.8))
         assert np.abs(w - w.T).max() == 0.0
-        x = cloud.points
-        sq_dist = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
-        # GEMM distances err by ~1e-16 |x|^2, i.e. ~1e-14 relative in w here
-        np.testing.assert_allclose(w, np.exp(-sq_dist / (2 * 0.8)), rtol=1e-12, atol=0.0)
+        # GEMM exponents err by ~1e-16 |y|^2 / eps, i.e. ~1e-14 relative in w here
+        np.testing.assert_allclose(w, pairwise_weights(cloud.points, 0.8), rtol=1e-12, atol=0.0)
 
     def test_truncation_consistency_across_blocks(self, split_blocks):
         cloud = random_cloud(120, 3, 6)
@@ -287,13 +290,75 @@ class TestKernelMatvec:
             mp.setattr(graph_core, "_TILE", rows)
             got = kernel_matvec(cloud, kernel, g)
             w = build_weights(cloud, kernel)
-        # The norm expansion may round the distance of (u, v) and of (v, u)
-        # a few ulps of |x|^2 apart. W keeps one orientation of a diagonal
-        # block and the product uses both, so a weight may differ by up to
-        # that over 2 eps.
+        # The GEMM (or, past the overflow bound, the norm expansion) may
+        # round the exponent of (u, v) and of (v, u) a few ulps of |y|^2 / eps
+        # apart. W keeps one orientation of a diagonal tile and the product
+        # uses both, so a weight may differ by up to that.
         slack = 8 * np.finfo(float).eps * (pts**2).sum(axis=1).max() / (2 * kernel.epsilon)
         bound = 1e-12 * (np.abs(w) @ np.abs(g)) + slack * np.abs(g).sum()
         assert (np.abs(got - w @ g) <= bound).all()
+
+
+def circle_and_far_cluster(seed):
+    """64 points on the unit circle, then a cluster of 20 at distance 6.
+
+    Centred, the circle's |y|^2 stays below 6 and the cluster's is about 21,
+    so at eps 0.02 circle tiles take the factorized kernel and every tile
+    pair holding a cluster point passes _EXP_LIMIT.
+    """
+    theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    cluster = [6.0, 0.0] + 0.05 * np.random.default_rng(seed).standard_normal((20, 2))
+    return PointCloud(points=np.vstack([np.c_[np.cos(theta), np.sin(theta)], cluster]))
+
+
+class TestFactorizedKernel:
+    @pytest.mark.parametrize("offset", [1e2, 1e4, 1e6])
+    def test_offset_cloud_matches_pairwise_formula(self, split_blocks, offset):
+        # Centring keeps the exponent's roundoff at the scale of the cloud's
+        # own spread, whatever its offset; raw coordinates would lose digits
+        # as offset^2 / eps.
+        rng = np.random.default_rng(16)
+        cloud = PointCloud(points=0.1 * rng.standard_normal((300, 3)) + offset)
+        split_blocks(300, 70)
+        kernel = KernelConfig(epsilon=0.01)
+        expected = pairwise_weights(cloud.points, 0.01)
+        g = rng.uniform(0.5, 1.5, 300)
+        np.testing.assert_allclose(build_weights(cloud, kernel), expected, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(kernel_matvec(cloud, kernel, g), expected @ g, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("tau", [0.0, 1e-8])
+    def test_fallback_tiles_match_pairwise_formula(self, split_blocks, tau):
+        cloud = circle_and_far_cluster(17)
+        split_blocks(84, 16)
+        kernel = KernelConfig(epsilon=0.02, truncation_tau=tau)
+        # a fallback tile carries unit factors, a factorized one carries a < 1
+        unit = [bool((left == 1.0).all()) for *_, left, _ in graph_core._kernel_blocks(cloud, kernel)]
+        assert any(unit) and not all(unit)
+        expected = pairwise_weights(cloud.points, 0.02)
+        expected[expected < tau] = 0.0
+        w = build_weights(cloud, kernel)
+        g = np.random.default_rng(18).uniform(0.5, 1.5, 84)
+        got = kernel_matvec(cloud, kernel, g)
+        assert np.isfinite(w).all() and np.isfinite(got).all()
+        np.testing.assert_allclose(w, expected, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got, expected @ g, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-12])
+    @pytest.mark.parametrize("tau", [0.0, 1e-8])
+    def test_tiny_epsilon_stays_finite(self, split_blocks, eps, tau):
+        # Every a_u underflows to 0 here, and tau / a_u would be inf; the
+        # fallback keeps 0 * inf out. Duplicated points keep weight 1.
+        theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+        circle = np.c_[np.cos(theta), np.sin(theta)]
+        cloud = PointCloud(points=np.vstack([circle, circle[:5]]))
+        split_blocks(69, 16)
+        kernel = KernelConfig(epsilon=eps, truncation_tau=tau)
+        centred = cloud.points - cloud.points.mean(axis=0)
+        assert (np.exp(-(centred**2).sum(axis=1) / (2 * eps)) == 0.0).all()
+        expected = pairwise_weights(cloud.points, eps)
+        g = np.random.default_rng(19).uniform(0.5, 1.5, 69)
+        np.testing.assert_array_equal(build_weights(cloud, kernel), expected)
+        np.testing.assert_allclose(kernel_matvec(cloud, kernel, g), expected @ g, rtol=1e-15, atol=0.0)
 
 
 # The three kernel passes, each as f(cloud, kernel).
