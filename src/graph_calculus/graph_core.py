@@ -3,6 +3,7 @@ the normalized Laplacian applied to a vertex function."""
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,14 @@ _TILE = 224
 # 709.78, and every a_u = exp(-|y_u|^2 / (2 eps)) is at least exp(-350), far
 # from underflow. Pairs past it take the norm expansion.
 _EXP_LIMIT = 700.0
+
+# Relative roundoff margin of the tile-pair classes at tau > 0: a pair is
+# skipped or left unmasked only when its boxes clear the cut radius by
+# _ROUNDOFF * (r2 + max |ys|^2) in squared distance. The exponents' GEMM and
+# exp err by a few ulps of max |ys|^2; this allows 4096 ulps.
+_ROUNDOFF = 2.0**-40
+
+log = logging.getLogger("graph_calculus.graph_core")
 
 
 @dataclass(frozen=True)
@@ -112,18 +121,54 @@ def _check_degrees(d, n: int) -> np.ndarray:
     return d
 
 
-def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig):
-    """Yield (rows, cols, block, left, right) for each tile on or above the diagonal of W.
+def _tile_order(points: np.ndarray) -> np.ndarray:
+    """A permutation of the points by recursive coordinate bisection into tiles.
 
-    rows and cols are slices of at most _TILE indices, and
-    W[rows, cols] = left[:, None] * block * right[None, :] off the diagonal.
-    The cloud is centred once, y = x - mean(x), and the kernel factorizes as
-    W = diag(a) exp(Y Y^T / eps) diag(a) with a_u = exp(-|y_u|^2 / (2 eps)):
-    a tile is one GEMM on y / sqrt(eps) and an in-place exp, with left and
-    right slices of a. A tile pair past _EXP_LIMIT takes the norm expansion
-    -(|y_u|^2 + |y_v|^2 - 2 y_u.y_v) / (2 eps) on the same product instead,
-    and carries unit factors. At tau > 0, right is already multiplied in
-    (right is then 1) and the entries with left * block below tau are zeroed.
+    Each part is split on the widest axis of its bounding box, at a multiple
+    of _TILE points from its start (the ragged remainder goes right), so
+    every _TILE-point tile of the order is one compact leaf.
+    """
+    order = np.arange(len(points))
+    parts = [(0, len(points))]
+    while parts:
+        lo, hi = parts.pop()
+        tiles = -(-(hi - lo) // _TILE)
+        if tiles < 2:
+            continue
+        part = order[lo:hi]
+        pts = points[part]
+        axis = np.argmax(pts.max(axis=0) - pts.min(axis=0))
+        cut = tiles // 2 * _TILE
+        order[lo:hi] = part[np.argpartition(pts[:, axis], cut)]
+        parts += [(lo, lo + cut), (lo + cut, hi)]
+    return order
+
+
+def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig, order):
+    """Yield (rows, cols, block, left, right) for each computed tile on or above the diagonal of W.
+
+    The points are taken in the given order (sample order if None); rows
+    and cols are slices of at most _TILE positions in that order, and
+    W[order[rows], order[cols]] = left[:, None] * block * right[None, :]
+    off the diagonal. The cloud is centred once, y = x - mean(x), and the
+    kernel factorizes as W = diag(a) exp(Y Y^T / eps) diag(a) with
+    a_u = exp(-|y_u|^2 / (2 eps)): a tile is one GEMM on ys = y / sqrt(eps)
+    and an in-place exp, with left and right slices of a. A tile pair past
+    _EXP_LIMIT takes the norm expansion -(|y_u|^2 + |y_v|^2 - 2 y_u.y_v) / (2 eps)
+    on the same product instead, and carries unit factors.
+
+    At tau > 0 a weight is dropped where |ys_u - ys_v|^2 > r2 = -2 ln tau,
+    and each tile pair falls in one of three classes by the bounding boxes
+    of its two tiles in ys. Where the squared gap between the boxes exceeds
+    r2 plus a roundoff margin, the pair is skipped: every entry it would
+    hold is one the mask zeroes. Where the squared farthest distance between
+    the boxes is below r2 minus the margin, the pair is yielded unmasked, as
+    at tau = 0: the mask would keep every entry. Every other pair is masked:
+    right is multiplied in (right is then 1) and the entries with
+    left * block below tau are zeroed. The margin, _ROUNDOFF times r2 plus
+    the pair's largest |ys|^2, bounds the exponents' GEMM and exp roundoff.
+    Pairs skip only between compact tiles, so callers at tau > 0 pass the
+    order of _tile_order. Each such pass logs its tile classes at debug.
 
     A diagonal tile's own diagonal is 0: the self-weight W_uu = 1 is left to
     the consumer. GEMM roundoff is not symmetric in u and v, so a diagonal
@@ -136,17 +181,37 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig):
     x = cloud.points
     ys = x - x.mean(axis=0)
     ys /= np.sqrt(kernel.epsilon)
+    if order is not None:
+        ys = ys[order]
     half = 0.5 * np.einsum("ij,ij->i", ys, ys)
     a = np.exp(-half)
     starts = range(0, n, _TILE)
-    fits = [2.0 * half[i0 : i0 + _TILE].max() <= _EXP_LIMIT for i0 in starts]
+    top = 2.0 * np.maximum.reduceat(half, starts)  # largest |ys|^2 of each tile
+    fits = top <= _EXP_LIMIT
+    if tau > 0.0:
+        r2 = -2.0 * np.log(tau)
+        lo, hi = np.minimum.reduceat(ys, starts), np.maximum.reduceat(ys, starts)
+        sizes = np.diff([*starts, n])
+        skipped = masked = dropped = 0
     ones = np.ones(_TILE)
     tile = np.empty(_TILE * _TILE)
     keep = np.empty(_TILE * _TILE, dtype=bool)
     for bi, i0 in enumerate(starts):
         rows = slice(i0, min(i0 + _TILE, n))
         nr = rows.stop - i0
+        if tau > 0.0:
+            # classes of the pairs (bi, bj) for bj >= bi, from the tiles' boxes
+            gap = np.maximum(lo[bi:] - hi[bi], lo[bi] - hi[bi:]).clip(min=0.0)
+            far = np.maximum(hi[bi:] - lo[bi], hi[bi] - lo[bi:])
+            margin = _ROUNDOFF * (r2 + np.maximum(top[bi:], top[bi]))
+            skip = np.einsum("ij,ij->i", gap, gap) > r2 + margin
+            mask = ~skip & (np.einsum("ij,ij->i", far, far) >= r2 - margin)
+            skipped += int(skip.sum())
+            masked += int(mask.sum())
+            dropped += 2 * nr * int(sizes[bi:][skip].sum())
         for bj, j0 in enumerate(starts[bi:], start=bi):
+            if tau > 0.0 and skip[bj - bi]:
+                continue
             cols = slice(j0, min(j0 + _TILE, n))
             nc = cols.stop - j0
             block = tile[: nr * nc].reshape(nr, nc)
@@ -161,13 +226,20 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig):
             np.exp(block, out=block)
             if j0 == i0:
                 np.fill_diagonal(block, 0.0)
-            if tau > 0.0:
+            if tau > 0.0 and mask[bj - bi]:
                 np.multiply(block, right, out=block)
                 right = ones[:nc]
-                mask = np.greater_equal(block, tau / left[:, None], out=keep[: nr * nc].reshape(nr, nc))
+                kept = np.greater_equal(block, tau / left[:, None], out=keep[: nr * nc].reshape(nr, nc))
                 # the block is >= 0, so the dropped entries become +0.0
-                np.multiply(block, mask, out=block)
+                np.multiply(block, kept, out=block)
             yield rows, cols, block, left, right
+    if tau > 0.0:
+        unmasked = len(starts) * (len(starts) + 1) // 2 - skipped - masked
+        log.debug(
+            "kernel pass: N=%d, tile pairs skipped=%d unmasked=%d masked=%d, "
+            "dropped mass of skipped pairs < tau x %d entries = %.3g",
+            n, skipped, unmasked, masked, dropped, tau * dropped,
+        )
 
 
 def build_weights(cloud: PointCloud, kernel: KernelConfig) -> np.ndarray:
@@ -178,28 +250,41 @@ def build_weights(cloud: PointCloud, kernel: KernelConfig) -> np.ndarray:
 
     The kernel tiles come from the block loop shared with kernel_matvec, in
     the factorized form a_u exp(y_u.y_v / eps) a_v on the centred cloud
-    (the norm expansion for tile pairs past the exp overflow bound). Each
-    tile is scaled by its column factor before its row factor, the order of
-    the masked tiles, so a weight kept at tau > 0 is bit-equal to the same
-    weight at tau = 0. Each unordered tile is computed once and mirrored (a
-    diagonal tile keeps its upper triangle), so the result is symmetric
-    bit-for-bit. The diagonal is set to exactly 1 (it survives any tau < 1).
+    (the norm expansion for tile pairs past the exp overflow bound), on the
+    cloud in _tile_order; each tile is written through the order into a
+    zeroed W, and skipped tile pairs stay 0. The order is taken at every
+    tau, not only at tau > 0: the tiles, and so the GEMM roundoff of each
+    weight, are then the same at every tau. Each tile is scaled by its
+    column factor before its row factor, the order of the masked tiles, so
+    a weight kept at tau > 0 is bit-equal to the same weight at tau = 0.
+    Each unordered tile is computed once and mirrored (a diagonal tile
+    keeps its upper triangle), so the result is symmetric bit-for-bit. The
+    diagonal is set to exactly 1 (it survives any tau < 1), and W is
+    clamped at 1, which the factorized weight of two coincident points can
+    pass by a few ulps.
     """
     n = cloud.n_points
     if n > DENSE_LIMIT:
         raise ValueError(
             f"stored weight matrix limited to N <= {DENSE_LIMIT} points (got {n})"
         )
-    w = np.empty((n, n), dtype=np.float64)
-    for rows, cols, block, left, right in _kernel_blocks(cloud, kernel):
+    order = _tile_order(cloud.points)
+    w = np.zeros((n, n), dtype=np.float64)
+    for rows, cols, block, left, right in _kernel_blocks(cloud, kernel, order):
         block *= right
         block *= left[:, None]
         if rows != cols:
-            w[rows, cols] = block
-            w[cols, rows] = block.T
+            w[order[rows], cols] = block
+            w[order[cols], rows] = block.T
         else:
-            w[rows, cols] = np.triu(block) + np.triu(block, 1).T
+            w[order[rows], rows] = np.triu(block) + np.triu(block, 1).T
+    # the rows are in place; gather the columns back from tile order, a band of rows at a time
+    inverse = np.argsort(order)
+    for i0 in range(0, n, _TILE):
+        band = w[i0 : i0 + _TILE]
+        band[:] = band.take(inverse, axis=1)
     np.fill_diagonal(w, 1.0)
+    np.minimum(w, 1.0, out=w)
     return w
 
 
@@ -225,17 +310,26 @@ def kernel_matvec(cloud: PointCloud, kernel: KernelConfig, g) -> np.ndarray:
     Same kernel tiles and truncation as build_weights, so memory stays at
     one tile instead of W's nnz. A tile's factors go on the vectors, in
     O(N) work: W[rows, cols] g[cols] = left * (block @ (right * g[cols])).
-    The self-weight W_uu = 1 adds g exactly. A diagonal tile multiplies over
-    its full square, so the result can differ from build_weights(...) @ g at
-    ~1e-15 relative, as degrees_from_cloud does from degrees.
+    The self-weight W_uu = 1 adds g exactly. At tau > 0 the pass runs on
+    the cloud in _tile_order, so far tile pairs are skipped: g is permuted
+    in and the result permuted back. At tau = 0 no pair can be skipped, and
+    the pass keeps the sample order rather than pay for ordering. A
+    diagonal tile multiplies over its full square, so the result can differ
+    from build_weights(...) @ g at ~1e-15 relative, as degrees_from_cloud
+    does from degrees.
     """
     g = _check_vertex_function(g, cloud.n_points)
+    order = _tile_order(cloud.points) if kernel.truncation_tau > 0.0 else None
+    if order is not None:
+        g = g[order]
     out = g.copy()
-    for rows, cols, block, left, right in _kernel_blocks(cloud, kernel):
+    for rows, cols, block, left, right in _kernel_blocks(cloud, kernel, order):
         out[rows] += left * (block @ (right * g[cols]))
         if rows != cols:
             # W is symmetric: the block's transpose is the mirrored block
             out[cols] += right * ((left * g[rows]) @ block)
+    if order is not None:
+        out[order] = out.copy()
     return out
 
 

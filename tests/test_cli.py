@@ -116,6 +116,16 @@ class TestRun:
         assert main(["run", "--config", str(path), "--out", str(out2), "--parallelism", "4"]) == 0
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
 
+    def test_parallelism_byte_identical_sparse(self, tmp_path):
+        # sparse cells of 5 and 7 tiles take ordered passes that skip far tile pairs
+        path = write_spec(
+            tmp_path, N_list=[1000, 1500], epsilon_list=[0.005, 0.01], mode="sparse", tau=1e-8
+        )
+        out1, out2 = tmp_path / "p1", tmp_path / "p4"
+        assert main(["run", "--config", str(path), "--out", str(out1), "--parallelism", "1"]) == 0
+        assert main(["run", "--config", str(path), "--out", str(out2), "--parallelism", "4"]) == 0
+        assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+
     def test_seed_override_changes_rows(self, tmp_path):
         path = write_spec(tmp_path)
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

@@ -1,6 +1,8 @@
 import json
+import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graph_calculus import (
@@ -173,6 +175,16 @@ class TestBuildWeights:
         w = build_weights(cloud, KernelConfig(epsilon=0.9))
         assert w.min() >= 0.0 and w.max() <= 1.0
 
+    @pytest.mark.parametrize("eps", [0.01, 0.1, 1.0, 10.0])
+    def test_duplicated_points_weigh_at_most_one(self, eps):
+        # The factorized weight of two coincident points rounds to a few ulps
+        # either side of 1 (unclamped, 1.0000000000000142 for seed 0 at eps
+        # 0.01); the stored W is clamped at 1.
+        for seed in range(10):
+            base = np.random.default_rng(seed).uniform(-2.0, 2.0, (3, 3))
+            w = build_weights(PointCloud(points=base[[0, 0, 1, 1, 2, 2]]), KernelConfig(epsilon=eps))
+            assert w.max() == 1.0
+
     @pytest.mark.parametrize("tau", [0.0, 1e-8])
     def test_dense_limit_enforced(self, tau):
         rng = np.random.default_rng(8)
@@ -331,9 +343,20 @@ class TestFactorizedKernel:
         cloud = circle_and_far_cluster(17)
         split_blocks(84, 16)
         kernel = KernelConfig(epsilon=0.02, truncation_tau=tau)
+        order = graph_core._tile_order(cloud.points)
+        pairs = [
+            (order[rows], order[cols], left)
+            for rows, cols, _, left, _ in graph_core._kernel_blocks(cloud, kernel, order)
+        ]
         # a fallback tile carries unit factors, a factorized one carries a < 1
-        unit = [bool((left == 1.0).all()) for *_, left, _ in graph_core._kernel_blocks(cloud, kernel)]
+        unit = [bool((left == 1.0).all()) for *_, left in pairs]
         assert any(unit) and not all(unit)
+        if tau > 0.0:
+            # the ordered tiles hold circle points or cluster points, and the
+            # pairs of a circle tile with a cluster tile are skipped
+            for rows, cols, _ in pairs:
+                on_circle = np.r_[rows, cols] < 64
+                assert on_circle.all() or not on_circle.any()
         expected = pairwise_weights(cloud.points, 0.02)
         expected[expected < tau] = 0.0
         w = build_weights(cloud, kernel)
@@ -359,6 +382,130 @@ class TestFactorizedKernel:
         g = np.random.default_rng(19).uniform(0.5, 1.5, 69)
         np.testing.assert_array_equal(build_weights(cloud, kernel), expected)
         np.testing.assert_allclose(kernel_matvec(cloud, kernel, g), expected @ g, rtol=1e-15, atol=0.0)
+
+
+def truncated_pairwise_weights(x, eps, tau):
+    """(W from its formula with the entries below tau zeroed, the entries within 1e-12 of tau)."""
+    w = pairwise_weights(x, eps)
+    band = np.abs(w / tau - 1.0) < 1e-12
+    w[w < tau] = 0.0
+    return w, band
+
+
+@st.composite
+def cut_radius_clouds(draw):
+    """(points, eps, tau, tile) for clouds of pairs a hair inside or outside the cut radius.
+
+    Each pair is a base point and a second point at (1 +- delta) times the
+    cut radius sqrt(-2 eps ln tau) from it, with delta from 1e-11 to 1e-4.
+    The base points lie in a cube of side 3 cut radii, so with tiles of 1-6
+    points the ordered tile pairs fall in all three classes.
+    """
+    dim = draw(st.integers(1, 3))
+    eps = draw(st.sampled_from((0.02, 0.3, 2.0)))
+    tau = draw(st.sampled_from((1e-8, 1e-4, 0.3)))
+    radius = math.sqrt(-2.0 * eps * math.log(tau))
+    pts = []
+    for _ in range(draw(st.integers(2, 12))):
+        base = np.array(draw(st.lists(st.floats(-1.5, 1.5), min_size=dim, max_size=dim)))
+        toward = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
+        if not np.linalg.norm(toward) > 0.1:
+            toward = np.eye(dim)[0]
+        delta = draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.integers(-11, -4))
+        pts += [radius * base, radius * (base + (1.0 + delta) * toward / np.linalg.norm(toward))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = np.array(pts)[rng.permutation(len(pts))]
+    return pts, eps, tau, draw(st.integers(1, 6))
+
+
+def pairs_on_a_line(deltas, eps=0.02, tau=1e-8):
+    """Pairs (5 k r, 5 k r + (1 + delta_k) r) on a line, r the cut radius, in two-point tiles.
+
+    Each tile holds one pair, so its farthest box distance is the pair's own.
+    """
+    radius = math.sqrt(-2.0 * eps * math.log(tau))
+    pts = [[5.0 * k * radius + offset] for k, d in enumerate(deltas) for offset in (0.0, (1.0 + d) * radius)]
+    return np.array(pts), eps, tau, 2
+
+
+class TestTileClasses:
+    """Ordered passes at tau > 0: skipped, unmasked and masked tile pairs."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(case=cut_radius_clouds())
+    @example(case=pairs_on_a_line([1e-9, -1e-9, 1e-7, -1e-7]))
+    def test_cut_radius_pairs_are_kept_or_dropped(self, case):
+        pts, eps, tau, tile = case
+        cloud, kernel = PointCloud(points=pts), KernelConfig(epsilon=eps, truncation_tau=tau)
+        g = np.random.default_rng(20).uniform(0.5, 1.5, len(pts))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_core, "_TILE", tile)
+            w = build_weights(cloud, kernel)
+            got = kernel_matvec(cloud, kernel, g)
+        ref = pairwise_weights(pts, eps)
+        assert (w[ref >= tau * (1.0 + 1e-12)] != 0.0).all()
+        assert (w[ref < tau * (1.0 - 1e-12)] == 0.0).all()
+        expected, band = truncated_pairwise_weights(pts, eps, tau)
+        np.testing.assert_allclose(w[~band], expected[~band], rtol=1e-13, atol=0.0)
+        # an entry within 1e-12 of tau may go either way
+        bound = 1e-13 * (expected @ g) + (band * ref) @ g
+        assert (np.abs(got - expected @ g) <= bound).all()
+
+    @pytest.mark.parametrize(
+        "case, tile",
+        [
+            ("circle", 16),  # 300 points: 18 full tiles and a ragged 19th
+            ("sphere", 16),
+            ("equal", 7),
+            ("collinear", 16),
+            ("sphere", 300),  # one tile holds the cloud
+            ("sphere", 400),
+        ],
+    )
+    @pytest.mark.parametrize("tau", [1e-8, 1e-4])
+    def test_passes_match_truncated_pairwise_formula(self, monkeypatch, case, tile, tau):
+        # at eps 0.01 the circle and the line take all three tile classes,
+        # the sphere skips and masks
+        rng = np.random.default_rng(21)
+        if case in ("circle", "sphere"):
+            pts = sample(case, 300, 4).points
+        elif case == "equal":
+            pts = np.tile([0.3, -1.7, 2.2], (50, 1))
+        else:
+            pts = np.outer(rng.uniform(-2.0, 2.0, 300), [0.6, -0.8, 0.0]) + [1.0, 2.0, 3.0]
+        monkeypatch.setattr(graph_core, "_TILE", tile)
+        kernel = KernelConfig(epsilon=0.01, truncation_tau=tau)
+        cloud = PointCloud(points=pts)
+        expected, band = truncated_pairwise_weights(pts, 0.01, tau)
+        assert not band.any()
+        g = rng.uniform(0.5, 1.5, len(pts))
+        w = build_weights(cloud, kernel)
+        np.testing.assert_allclose(w, expected, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(kernel_matvec(cloud, kernel, g), expected @ g, rtol=1e-13, atol=0.0)
+
+    def test_ordered_tiles_take_every_class(self, split_blocks, caplog):
+        # One debug line per pass at tau > 0 gives N and the tile pairs of
+        # each class; at tau = 0 nothing is skipped or masked, and no line.
+        cloud = sample("circle", 300, 4)
+        split_blocks(300, 16)
+        caplog.set_level(logging.DEBUG, logger="graph_calculus.graph_core")
+        kernel_matvec(cloud, KernelConfig(epsilon=0.01), np.ones(300))
+        assert caplog.records == []
+        degrees_from_cloud(cloud, KernelConfig(epsilon=0.01, truncation_tau=1e-8))
+        (record,) = caplog.records
+        assert record.name == "graph_calculus.graph_core"
+        found = re.fullmatch(
+            r"kernel pass: N=300, tile pairs skipped=(\d+) unmasked=(\d+) masked=(\d+), "
+            r"dropped mass of skipped pairs < tau x (\d+) entries = (\S+)",
+            record.getMessage(),
+        )
+        skipped, unmasked, masked, entries = map(int, found.groups()[:4])
+        assert min(skipped, unmasked, masked) > 0
+        assert skipped + unmasked + masked == 19 * 20 // 2
+        # each skipped pair is two full 16 x 16 off-diagonal blocks of W, or
+        # two 16 x 12 blocks with the ragged last tile
+        assert 2 * 16 * 12 * skipped <= entries <= 2 * 16 * 16 * skipped
+        assert float(found.group(5)) == pytest.approx(1e-8 * entries, rel=1e-2)
 
 
 # The three kernel passes, each as f(cloud, kernel).
