@@ -2,7 +2,8 @@
 
 Thin shell over the library: every number it emits comes from graph_core,
 calculus, manifolds, convergence, or verification. Exit codes: 0 success,
-1 configuration/usage errors, 2 when sweep cells failed numerically.
+1 configuration/usage errors, 2 when sweep cells failed (numerically, or
+for want of memory; summary.json names the kind of each failure).
 Logging level comes from GRAPH_CALCULUS_LOG (quiet|info|debug).
 """
 
@@ -57,7 +58,7 @@ EXIT_CELL_FAILURES = 2
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage by default; the exit-code taxonomy
-    # reserves 2 for numerical cell failures, so usage errors exit 1.
+    # reserves 2 for failed sweep cells, so usage errors exit 1.
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
@@ -188,7 +189,14 @@ def _cmd_run(args) -> int:
         "n_cells": len(result.rows) + len(result.failures),
         "n_failed": len(result.failures),
         "failures": [
-            {"N": f.n, "epsilon": f.epsilon, "trial": f.trial, "seed": f.seed, "message": f.message}
+            {
+                "N": f.n,
+                "epsilon": f.epsilon,
+                "trial": f.trial,
+                "seed": f.seed,
+                "kind": f.kind,
+                "message": f.message,
+            }
             for f in result.failures
         ],
         "cells": [

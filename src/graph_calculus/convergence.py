@@ -472,6 +472,7 @@ class CellFailure:
     trial: int
     seed: int
     message: str
+    kind: str  # "resource" (out of memory) or "numerical"
 
 
 @dataclass(frozen=True)
@@ -497,8 +498,10 @@ def _run_cell(spec: ExperimentSpec, n: int, epsilon: float, trial: int):
             sampling=spec.sampling,
         )
     except Exception as exc:  # recorded, remaining cells continue
-        log.warning("cell N=%d eps=%g trial=%d failed: %s", n, epsilon, trial, exc)
-        return CellFailure(n=n, epsilon=epsilon, trial=trial, seed=seed, message=str(exc))
+        kind = "resource" if isinstance(exc, MemoryError) else "numerical"
+        message = str(exc) or type(exc).__name__
+        log.warning("cell N=%d eps=%g trial=%d failed (%s): %s", n, epsilon, trial, kind, message)
+        return CellFailure(n=n, epsilon=epsilon, trial=trial, seed=seed, message=message, kind=kind)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return CellResult(
         manifold=spec.manifold,

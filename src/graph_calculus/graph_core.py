@@ -43,6 +43,12 @@ _EXP_LIMIT = 700.0
 # exp err by a few ulps of max |ys|^2; this allows 4096 ulps.
 _ROUNDOFF = 2.0**-40
 
+# A gathered tile of trimmed columns takes its product over a multiple of this
+# many columns. OpenBLAS rounds the last 4-7 columns of a product 196-223
+# columns wide with narrower kernels than a full 224-column tile, so a weight
+# computed there would not be bit-equal to the same weight in its own tile.
+_COLUMN_STEP = 8
+
 log = logging.getLogger("graph_calculus.graph_core")
 
 
@@ -144,13 +150,29 @@ def _tile_order(points: np.ndarray) -> np.ndarray:
     return order
 
 
+def _cloud_order(cloud: PointCloud) -> np.ndarray:
+    """The cloud's _tile_order, computed once per cloud and tile side.
+
+    A sweep cell's degree pass and W g pass share it. It is kept on the
+    cloud with the _TILE it was cut for, so a changed tile side orders anew.
+    """
+    tile, order = cloud.__dict__.get("_order", (None, None))
+    if tile != _TILE:
+        tile, order = _TILE, _tile_order(cloud.points)
+        order.setflags(write=False)
+        object.__setattr__(cloud, "_order", (tile, order))
+    return order
+
+
 def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig, order):
     """Yield (rows, cols, block, left, right) for each computed tile on or above the diagonal of W.
 
     The points are taken in the given order (sample order if None); rows
-    and cols are slices of at most _TILE positions in that order, and
+    is a slice of at most _TILE positions in that order, cols a slice or an
+    index array of at most _TILE positions, and
     W[order[rows], order[cols]] = left[:, None] * block * right[None, :]
-    off the diagonal. The cloud is centred once, y = x - mean(x), and the
+    off the diagonal; a diagonal tile comes with cols the same object as
+    rows. The cloud is centred once, y = x - mean(x), and the
     kernel factorizes as W = diag(a) exp(Y Y^T / eps) diag(a) with
     a_u = exp(-|y_u|^2 / (2 eps)): a tile is one GEMM on ys = y / sqrt(eps)
     and an in-place exp, with left and right slices of a. A tile pair past
@@ -168,7 +190,21 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig, order):
     left * block below tau are zeroed. The margin, _ROUNDOFF times r2 plus
     the pair's largest |ys|^2, bounds the exponents' GEMM and exp roundoff.
     Pairs skip only between compact tiles, so callers at tau > 0 pass the
-    order of _tile_order. Each such pass logs its tile classes at debug.
+    order of _tile_order. Each such pass logs its tile classes at debug,
+    with the columns trimmed below.
+
+    A masked pair off the diagonal is trimmed, not computed, when both its
+    tiles take the factorized kernel and its column tile is full: a column
+    whose squared gap to the row tile's box exceeds r2 plus the margin is
+    dropped (the mask would zero its every entry), and the positions of the
+    others are gathered, over the row's trimmed pairs in order, into masked
+    tiles of up to _TILE columns. These come after the row's other tiles,
+    with cols an increasing index array. BLAS rounds the last few columns of
+    a product of ragged width with narrower kernels, so differently from a
+    full tile; a gathered tile's product is taken over a multiple of
+    _COLUMN_STEP columns (its last column repeated), and a ragged column
+    tile is never trimmed, so every weight rounds as in its own tile at
+    tau = 0.
 
     A diagonal tile's own diagonal is 0: the self-weight W_uu = 1 is left to
     the consumer. GEMM roundoff is not symmetric in u and v, so a diagonal
@@ -192,7 +228,8 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig, order):
         r2 = -2.0 * np.log(tau)
         lo, hi = np.minimum.reduceat(ys, starts), np.maximum.reduceat(ys, starts)
         sizes = np.diff([*starts, n])
-        skipped = masked = dropped = 0
+        whole = fits & (sizes == _TILE)  # the column tiles a masked pair may trim
+        skipped = masked = dropped = kept_cols = trimmed_cols = chunks = 0
     ones = np.ones(_TILE)
     tile = np.empty(_TILE * _TILE)
     keep = np.empty(_TILE * _TILE, dtype=bool)
@@ -209,10 +246,21 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig, order):
             skipped += int(skip.sum())
             masked += int(mask.sum())
             dropped += 2 * nr * int(sizes[bi:][skip].sum())
+            trim = mask & fits[bi] & whole[bi:]
+            trim[0] = False  # the diagonal tile is never trimmed
+            near = []  # the kept columns of the row's trimmed pairs
         for bj, j0 in enumerate(starts[bi:], start=bi):
             if tau > 0.0 and skip[bj - bi]:
                 continue
-            cols = slice(j0, min(j0 + _TILE, n))
+            cols = slice(j0, min(j0 + _TILE, n)) if bj > bi else rows
+            if tau > 0.0 and trim[bj - bi]:
+                # keep the columns within reach of the row tile's box
+                gap = np.maximum(lo[bi] - ys[cols], ys[cols] - hi[bi]).clip(min=0.0)
+                reach = np.flatnonzero(np.einsum("ij,ij->i", gap, gap) <= r2 + margin[bj - bi])
+                near.append(reach + j0)
+                kept_cols += len(reach)
+                trimmed_cols += _TILE - len(reach)
+                continue
             nc = cols.stop - j0
             block = tile[: nr * nc].reshape(nr, nc)
             np.matmul(ys[rows], ys[cols].T, out=block)
@@ -224,22 +272,43 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig, order):
                 np.minimum(block, 0.0, out=block)  # GEMM roundoff can lift it above 0
                 left, right = ones[:nr], ones[:nc]
             np.exp(block, out=block)
-            if j0 == i0:
+            if bj == bi:
                 np.fill_diagonal(block, 0.0)
             if tau > 0.0 and mask[bj - bi]:
-                np.multiply(block, right, out=block)
+                _truncate(block, left, right, tau, keep)
                 right = ones[:nc]
-                kept = np.greater_equal(block, tau / left[:, None], out=keep[: nr * nc].reshape(nr, nc))
-                # the block is >= 0, so the dropped entries become +0.0
-                np.multiply(block, kept, out=block)
             yield rows, cols, block, left, right
+        if tau > 0.0 and near:
+            # the kept columns, gathered into masked tiles of up to _TILE columns,
+            # each computed over a multiple of _COLUMN_STEP (the last column repeated)
+            near = np.concatenate(near)
+            padded = np.pad(near, (0, -len(near) % _COLUMN_STEP), mode="edge")
+            left = a[rows]
+            for c0 in range(0, len(near), _TILE):
+                cols, wide = near[c0 : c0 + _TILE], padded[c0 : c0 + _TILE]
+                block = tile[: nr * len(wide)].reshape(nr, len(wide))
+                np.matmul(ys[rows], ys[wide].T, out=block)
+                np.exp(block, out=block)
+                _truncate(block, left, a[wide], tau, keep)
+                chunks += 1
+                yield rows, cols, block[:, : len(cols)], left, ones[: len(cols)]
     if tau > 0.0:
         unmasked = len(starts) * (len(starts) + 1) // 2 - skipped - masked
         log.debug(
             "kernel pass: N=%d, tile pairs skipped=%d unmasked=%d masked=%d, "
-            "dropped mass of skipped pairs < tau x %d entries = %.3g",
+            "dropped mass of skipped pairs < tau x %d entries = %.3g, "
+            "trimmed columns kept=%d dropped=%d in %d gathered chunks",
             n, skipped, unmasked, masked, dropped, tau * dropped,
+            kept_cols, trimmed_cols, chunks,
         )
+
+
+def _truncate(block, left, right, tau, keep):
+    """Scale a tile's columns by right and zero its entries below tau / left, in place."""
+    np.multiply(block, right, out=block)
+    kept = np.greater_equal(block, tau / left[:, None], out=keep[: block.size].reshape(block.shape))
+    # the block is >= 0, so the dropped entries become +0.0
+    np.multiply(block, kept, out=block)
 
 
 def build_weights(cloud: PointCloud, kernel: KernelConfig) -> np.ndarray:
@@ -252,7 +321,8 @@ def build_weights(cloud: PointCloud, kernel: KernelConfig) -> np.ndarray:
     the factorized form a_u exp(y_u.y_v / eps) a_v on the centred cloud
     (the norm expansion for tile pairs past the exp overflow bound), on the
     cloud in _tile_order; each tile is written through the order into a
-    zeroed W, and skipped tile pairs stay 0. The order is taken at every
+    zeroed W (a gathered tile of trimmed columns through np.ix_), and
+    skipped tile pairs and trimmed columns stay 0. The order is taken at every
     tau, not only at tau > 0: the tiles, and so the GEMM roundoff of each
     weight, are then the same at every tau. Each tile is scaled by its
     column factor before its row factor, the order of the masked tiles, so
@@ -268,16 +338,19 @@ def build_weights(cloud: PointCloud, kernel: KernelConfig) -> np.ndarray:
         raise ValueError(
             f"stored weight matrix limited to N <= {DENSE_LIMIT} points (got {n})"
         )
-    order = _tile_order(cloud.points)
+    order = _cloud_order(cloud)
     w = np.zeros((n, n), dtype=np.float64)
     for rows, cols, block, left, right in _kernel_blocks(cloud, kernel, order):
         block *= right
         block *= left[:, None]
-        if rows != cols:
-            w[order[rows], cols] = block
-            w[order[cols], rows] = block.T
-        else:
+        if cols is rows:
             w[order[rows], rows] = np.triu(block) + np.triu(block, 1).T
+            continue
+        if isinstance(cols, slice):
+            w[order[rows], cols] = block
+        else:
+            w[np.ix_(order[rows], cols)] = block
+        w[order[cols], rows] = block.T
     # the rows are in place; gather the columns back from tile order, a band of rows at a time
     inverse = np.argsort(order)
     for i0 in range(0, n, _TILE):
@@ -311,21 +384,24 @@ def kernel_matvec(cloud: PointCloud, kernel: KernelConfig, g) -> np.ndarray:
     one tile instead of W's nnz. A tile's factors go on the vectors, in
     O(N) work: W[rows, cols] g[cols] = left * (block @ (right * g[cols])).
     The self-weight W_uu = 1 adds g exactly. At tau > 0 the pass runs on
-    the cloud in _tile_order, so far tile pairs are skipped: g is permuted
-    in and the result permuted back. At tau = 0 no pair can be skipped, and
-    the pass keeps the sample order rather than pay for ordering. A
+    the cloud in _tile_order, so far tile pairs are skipped and masked ones
+    trimmed: g is permuted in and the result permuted back, and a gathered
+    tile reads g[cols] and adds into out[cols] (its positions are unique).
+    The order is computed once per cloud, so the degree pass and the W g
+    pass of a cell share it. At tau = 0 no pair can be skipped, and the
+    pass keeps the sample order rather than pay for ordering. A
     diagonal tile multiplies over its full square, so the result can differ
     from build_weights(...) @ g at ~1e-15 relative, as degrees_from_cloud
     does from degrees.
     """
     g = _check_vertex_function(g, cloud.n_points)
-    order = _tile_order(cloud.points) if kernel.truncation_tau > 0.0 else None
+    order = _cloud_order(cloud) if kernel.truncation_tau > 0.0 else None
     if order is not None:
         g = g[order]
     out = g.copy()
     for rows, cols, block, left, right in _kernel_blocks(cloud, kernel, order):
         out[rows] += left * (block @ (right * g[cols]))
-        if rows != cols:
+        if cols is not rows:
             # W is symmetric: the block's transpose is the mirrored block
             out[cols] += right * ((left * g[rows]) @ block)
     if order is not None:

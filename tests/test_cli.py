@@ -180,6 +180,24 @@ class TestRun:
         kept = [r for r in rows if r.split(",")[2] == "80"]
         assert len(kept) == 2
         assert (out / "results.csv").read_text() == header + "".join(kept)
+        assert {f["kind"] for f in summary["failures"]} == {"numerical"}
+
+    def test_out_of_memory_cell_is_a_resource_failure(self, tmp_path, monkeypatch):
+        path = write_spec(tmp_path, N_list=[40, 80], epsilon_list=[0.1], trials=1)
+        real = conv.lemma_check
+
+        def starved(manifold, fn_id, n, epsilon, **kwargs):
+            if n == 80:
+                raise MemoryError()
+            return real(manifold, fn_id, n, epsilon, **kwargs)
+
+        monkeypatch.setattr(conv, "lemma_check", starved)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        summary = json.loads((out / "summary.json").read_text())
+        (failure,) = summary["failures"]
+        assert (failure["N"], failure["kind"], failure["message"]) == (80, "resource", "MemoryError")
+        assert [c["N"] for c in summary["cells"]] == [40]
 
     def test_dense_tau_override_conflict_exit_1(self, spec_file, tmp_path, capsys):
         code = main(
@@ -274,6 +292,18 @@ class TestRun:
             subprocess.run(cmd + ["--out", str(out)], env=env, capture_output=True, check=True)
             csv.append((out / "results.csv").read_bytes())
         assert csv[0] == csv[1]
+
+    def test_dense_results_are_pinned(self, tmp_path):
+        # Dense cells keep the sample order and the tau = 0 tiles, so their
+        # results.csv must not move by one byte (numpy 2.4, OpenBLAS 0.3.31
+        # on x86-64; another BLAS or exp may round the last bits apart).
+        import hashlib
+
+        path = write_spec(tmp_path, N_list=[100, 500], epsilon_list=[0.02, 0.05], master_seed=7)
+        out = tmp_path / "pinned"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
+        assert digest == "fcdda81b8bd6b1382aa9c73af28604974f0610c0795dfe026e89c58d98a95b43"
 
     def test_summary_hash_matches_file(self, spec_file, tmp_path):
         import hashlib

@@ -484,8 +484,9 @@ class TestTileClasses:
         np.testing.assert_allclose(kernel_matvec(cloud, kernel, g), expected @ g, rtol=1e-13, atol=0.0)
 
     def test_ordered_tiles_take_every_class(self, split_blocks, caplog):
-        # One debug line per pass at tau > 0 gives N and the tile pairs of
-        # each class; at tau = 0 nothing is skipped or masked, and no line.
+        # One debug line per pass at tau > 0 gives N, the tile pairs of each
+        # class and the trimmed columns; at tau = 0 nothing is skipped or
+        # masked, and no line.
         cloud = sample("circle", 300, 4)
         split_blocks(300, 16)
         caplog.set_level(logging.DEBUG, logger="graph_calculus.graph_core")
@@ -496,16 +497,89 @@ class TestTileClasses:
         assert record.name == "graph_calculus.graph_core"
         found = re.fullmatch(
             r"kernel pass: N=300, tile pairs skipped=(\d+) unmasked=(\d+) masked=(\d+), "
-            r"dropped mass of skipped pairs < tau x (\d+) entries = (\S+)",
+            r"dropped mass of skipped pairs < tau x (\d+) entries = (\S+), "
+            r"trimmed columns kept=(\d+) dropped=(\d+) in (\d+) gathered chunks",
             record.getMessage(),
         )
         skipped, unmasked, masked, entries = map(int, found.groups()[:4])
+        kept, trimmed, chunks = map(int, found.groups()[5:])
         assert min(skipped, unmasked, masked) > 0
         assert skipped + unmasked + masked == 19 * 20 // 2
         # each skipped pair is two full 16 x 16 off-diagonal blocks of W, or
         # two 16 x 12 blocks with the ragged last tile
         assert 2 * 16 * 12 * skipped <= entries <= 2 * 16 * 16 * skipped
         assert float(found.group(5)) == pytest.approx(1e-8 * entries, rel=1e-2)
+        # trimmed pairs are masked ones off the diagonal, each with a full
+        # column tile of 16; a row's kept columns fill chunks of up to 16
+        assert min(kept, trimmed) > 0
+        assert (kept + trimmed) % 16 == 0
+        assert kept + trimmed <= 16 * masked
+        assert -(-kept // 16) <= chunks <= kept
+
+    @pytest.mark.parametrize("case", ["circle", "sphere"])
+    @pytest.mark.parametrize("tau", [1e-8, 1e-4])
+    def test_trimmed_columns_are_gathered(self, monkeypatch, case, tau):
+        # Masked tile pairs keep only the columns within reach of the row
+        # tile's box, and gather them across column tiles into chunks.
+        pts = sample(case, 300, 4).points
+        monkeypatch.setattr(graph_core, "_TILE", 16)
+        cloud, kernel = PointCloud(points=pts), KernelConfig(epsilon=0.01, truncation_tau=tau)
+        order = graph_core._tile_order(pts)
+        ref = pairwise_weights(pts[order], 0.01)
+        covered = np.zeros((300, 300), dtype=bool)  # in tile order
+        spans = []
+        for rows, cols, _, _, _ in graph_core._kernel_blocks(cloud, kernel, order):
+            cols = np.arange(300)[cols]
+            covered[rows, cols] = True
+            if rows.stop <= cols[0]:
+                spans.append(np.unique(cols // 16).size)
+        assert max(spans) >= 2
+        trimmed = 0
+        for i0 in range(0, 300, 16):
+            rows = slice(i0, i0 + 16)
+            for j0 in range(i0 + 16, 300, 16):
+                seen = covered[rows, j0 : j0 + 16].any(axis=0)
+                assert (covered[rows, j0 : j0 + 16] == seen).all()  # whole columns
+                if seen.any():
+                    # the pair was computed or trimmed: each dropped column
+                    # weighs below tau against every row of the tile
+                    trimmed += int((~seen).sum())
+                    assert (ref[rows, j0 : j0 + 16][:, ~seen] < tau).all()
+        assert trimmed > 0
+        # so is every entry of a skipped pair
+        assert (ref[np.triu(~covered, 1)] < tau).all()
+        expected, band = truncated_pairwise_weights(pts, 0.01, tau)
+        assert not band.any()
+        g = np.random.default_rng(22).uniform(0.5, 1.5, 300)
+        np.testing.assert_allclose(build_weights(cloud, kernel), expected, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(kernel_matvec(cloud, kernel, g), expected @ g, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("case", ["circle", "sphere"])
+    def test_trimmed_weights_are_bit_equal_to_dense(self, case):
+        # At the default tile, the gathered chunks and the last column tile
+        # (1333 = 5 x 224 + 213) are wide enough for BLAS to round their
+        # last columns with narrower kernels; every kept weight must still
+        # round as in its own tile at tau = 0.
+        cloud = sample(case, 1333, 3)
+        dense = build_weights(cloud, KernelConfig(epsilon=0.02))
+        trunc = build_weights(cloud, KernelConfig(epsilon=0.02, truncation_tau=1e-8))
+        kept = dense >= 1e-8
+        assert np.array_equal(trunc[kept], dense[kept])
+        assert not trunc[~kept].any()
+
+    def test_order_is_computed_once_per_cloud(self, monkeypatch):
+        # The degree pass and the W g pass of a cell share one order; a
+        # changed tile side orders anew.
+        calls = []
+        real = graph_core._tile_order
+        monkeypatch.setattr(graph_core, "_tile_order", lambda pts: calls.append(1) or real(pts))
+        cloud, kernel = sample("sphere", 500, 2), KernelConfig(epsilon=0.01, truncation_tau=1e-8)
+        d = degrees_from_cloud(cloud, kernel)
+        laplacian_from_cloud(cloud, kernel, np.ones(500), d)
+        assert len(calls) == 1
+        monkeypatch.setattr(graph_core, "_TILE", 64)
+        np.testing.assert_allclose(degrees_from_cloud(cloud, kernel), d, rtol=1e-13, atol=0.0)
+        assert len(calls) == 2
 
 
 # The three kernel passes, each as f(cloud, kernel).
