@@ -229,6 +229,7 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig, order):
         lo, hi = np.minimum.reduceat(ys, starts), np.maximum.reduceat(ys, starts)
         sizes = np.diff([*starts, n])
         whole = fits & (sizes == _TILE)  # the column tiles a masked pair may trim
+        ys3 = ys[: n // _TILE * _TILE].reshape(-1, _TILE, ys.shape[1])  # the full tiles
         skipped = masked = dropped = kept_cols = trimmed_cols = chunks = 0
     ones = np.ones(_TILE)
     tile = np.empty(_TILE * _TILE)
@@ -248,19 +249,20 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig, order):
             dropped += 2 * nr * int(sizes[bi:][skip].sum())
             trim = mask & fits[bi] & whole[bi:]
             trim[0] = False  # the diagonal tile is never trimmed
-            near = []  # the kept columns of the row's trimmed pairs
+            # the trimmed pairs' columns within reach of the row tile's box, in order
+            tiles = bi + np.flatnonzero(trim)
+            y = ys3[tiles]
+            gap = np.maximum(lo[bi] - y, y - hi[bi]).clip(min=0.0)
+            reach = np.einsum("ijk,ijk->ij", gap, gap) <= (r2 + margin[tiles - bi])[:, None]
+            pair, col = np.nonzero(reach)
+            near = tiles[pair] * _TILE + col
+            kept_cols += len(near)
+            trimmed_cols += reach.size - len(near)
+            done = skip | trim  # the pairs not computed as tiles below
         for bj, j0 in enumerate(starts[bi:], start=bi):
-            if tau > 0.0 and skip[bj - bi]:
+            if tau > 0.0 and done[bj - bi]:
                 continue
             cols = slice(j0, min(j0 + _TILE, n)) if bj > bi else rows
-            if tau > 0.0 and trim[bj - bi]:
-                # keep the columns within reach of the row tile's box
-                gap = np.maximum(lo[bi] - ys[cols], ys[cols] - hi[bi]).clip(min=0.0)
-                reach = np.flatnonzero(np.einsum("ij,ij->i", gap, gap) <= r2 + margin[bj - bi])
-                near.append(reach + j0)
-                kept_cols += len(reach)
-                trimmed_cols += _TILE - len(reach)
-                continue
             nc = cols.stop - j0
             block = tile[: nr * nc].reshape(nr, nc)
             np.matmul(ys[rows], ys[cols].T, out=block)
@@ -278,10 +280,9 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig, order):
                 _truncate(block, left, right, tau, keep)
                 right = ones[:nc]
             yield rows, cols, block, left, right
-        if tau > 0.0 and near:
+        if tau > 0.0 and len(near):
             # the kept columns, gathered into masked tiles of up to _TILE columns,
             # each computed over a multiple of _COLUMN_STEP (the last column repeated)
-            near = np.concatenate(near)
             padded = np.pad(near, (0, -len(near) % _COLUMN_STEP), mode="edge")
             left = a[rows]
             for c0 in range(0, len(near), _TILE):
