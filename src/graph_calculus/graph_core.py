@@ -49,6 +49,11 @@ _ROUNDOFF = 2.0**-40
 # computed there would not be bit-equal to the same weight in its own tile.
 _COLUMN_STEP = 8
 
+# Column tiles whose columns the trim tests in one vectorized step: its
+# scratch, two arrays of _TRIM_TILES * _TILE * dim floats, stays below a tile
+# (at dim <= 3) however many pairs a tile row trims.
+_TRIM_TILES = 16
+
 log = logging.getLogger("graph_calculus.graph_core")
 
 
@@ -249,15 +254,9 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig, order):
             dropped += 2 * nr * int(sizes[bi:][skip].sum())
             trim = mask & fits[bi] & whole[bi:]
             trim[0] = False  # the diagonal tile is never trimmed
-            # the trimmed pairs' columns within reach of the row tile's box, in order
-            tiles = bi + np.flatnonzero(trim)
-            y = ys3[tiles]
-            gap = np.maximum(lo[bi] - y, y - hi[bi]).clip(min=0.0)
-            reach = np.einsum("ijk,ijk->ij", gap, gap) <= (r2 + margin[tiles - bi])[:, None]
-            pair, col = np.nonzero(reach)
-            near = tiles[pair] * _TILE + col
+            near = _near_columns(ys3, bi + np.flatnonzero(trim), lo[bi], hi[bi], r2 + margin[trim])
             kept_cols += len(near)
-            trimmed_cols += reach.size - len(near)
+            trimmed_cols += int(trim.sum()) * _TILE - len(near)
             done = skip | trim  # the pairs not computed as tiles below
         for bj, j0 in enumerate(starts[bi:], start=bi):
             if tau > 0.0 and done[bj - bi]:
@@ -302,6 +301,26 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig, order):
             n, skipped, unmasked, masked, dropped, tau * dropped,
             kept_cols, trimmed_cols, chunks,
         )
+
+
+def _near_columns(ys3, tiles, lo, hi, limits):
+    """The positions, in order, of the columns of the given full tiles whose
+    squared gap to the box [lo, hi] is at most the tile's limit.
+
+    ys3 holds the full tiles of ys as (tiles, _TILE, dim); the columns are
+    tested _TRIM_TILES tiles at a time, so the scratch stays below a tile.
+    """
+    near = [np.empty(0, dtype=np.intp)]
+    for t0 in range(0, len(tiles), _TRIM_TILES):
+        some = tiles[t0 : t0 + _TRIM_TILES]
+        y = ys3[some]
+        gap = lo - y
+        np.maximum(gap, np.subtract(y, hi, out=y), out=gap)
+        np.maximum(gap, 0.0, out=gap)
+        reach = np.einsum("ijk,ijk->ij", gap, gap) <= limits[t0 : t0 + _TRIM_TILES, None]
+        pair, col = np.nonzero(reach)
+        near.append(some[pair] * _TILE + col)
+    return np.concatenate(near)
 
 
 def _truncate(block, left, right, tau, keep):
