@@ -50,7 +50,7 @@ _ROUNDOFF = 2.0**-40
 _COLUMN_STEP = 8
 
 # Column tiles whose columns the trim tests in one vectorized step: its
-# scratch, two arrays of _TRIM_TILES * _TILE * dim floats, stays below a tile
+# temporaries, two arrays of _TRIM_TILES * _TILE * dim floats, stay below a tile
 # (at dim <= 3) however many pairs a tile row trims.
 _TRIM_TILES = 16
 
@@ -308,7 +308,7 @@ def _near_columns(ys3, tiles, lo, hi, limits):
     squared gap to the box [lo, hi] is at most the tile's limit.
 
     ys3 holds the full tiles of ys as (tiles, _TILE, dim); the columns are
-    tested _TRIM_TILES tiles at a time, so the scratch stays below a tile.
+    tested _TRIM_TILES tiles at a time, so the temporaries stay below a tile.
     """
     near = [np.empty(0, dtype=np.intp)]
     for t0 in range(0, len(tiles), _TRIM_TILES):
