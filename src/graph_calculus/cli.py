@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import os
+import resource
 import sys
 from pathlib import Path
 
@@ -62,6 +63,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size in MB (ru_maxrss counts KB on Linux, bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
 
 
 def _configure_logging() -> None:
@@ -184,6 +191,7 @@ def _cmd_run(args) -> int:
     write_text_atomic(out_dir / "results.csv", csv_text)
 
     summary = {
+        "schema_version": 1,
         "spec": spec.to_dict(),
         "package_version": __version__,
         "n_cells": len(result.rows) + len(result.failures),
@@ -213,6 +221,7 @@ def _cmd_run(args) -> int:
         "rate_fits": sweep_rate_fits(result.rows, spec.interior_statistic),
         "threads": {"cell_pool": result.pool_width},
         "total_wall_ms": sum(r.wall_ms for r in result.rows),
+        "peak_rss_mb": _peak_rss_mb(),
         "results_csv_sha256": hashlib.sha256(csv_text.encode()).hexdigest(),
     }
     write_text_atomic(out_dir / "summary.json", json.dumps(summary, indent=2) + "\n")

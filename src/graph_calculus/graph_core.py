@@ -43,12 +43,6 @@ _EXP_LIMIT = 700.0
 # exp err by a few ulps of max |ys|^2; this allows 4096 ulps.
 _ROUNDOFF = 2.0**-40
 
-# A gathered tile of trimmed columns takes its product over a multiple of this
-# many columns. OpenBLAS rounds the last 4-7 columns of a product 196-223
-# columns wide with narrower kernels than a full 224-column tile, so a weight
-# computed there would not be bit-equal to the same weight in its own tile.
-_COLUMN_STEP = 8
-
 # Column tiles whose columns the trim tests in one vectorized step: its
 # temporaries, two arrays of _TRIM_TILES * _TILE * dim floats, stay below a tile
 # (at dim <= 3) however many pairs a tile row trims.
@@ -158,8 +152,10 @@ def _tile_order(points: np.ndarray) -> np.ndarray:
 def _cloud_order(cloud: PointCloud) -> np.ndarray:
     """The cloud's _tile_order, computed once per cloud and tile side.
 
-    A sweep cell's degree pass and W g pass share it. It is kept on the
-    cloud with the _TILE it was cut for, so a changed tile side orders anew.
+    _kernel_blocks takes the points in this order at tau > 0, and
+    kernel_matvec permutes g by it, so one pass reads one order and a sweep
+    cell's degree pass and W g pass share it. It is kept on the cloud with
+    the _TILE it was cut for, so a changed tile side orders anew.
     """
     tile, order = cloud.__dict__.get("_order", (None, None))
     if tile != _TILE:
@@ -169,12 +165,12 @@ def _cloud_order(cloud: PointCloud) -> np.ndarray:
     return order
 
 
-def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig, order):
+def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig):
     """Yield (rows, cols, block, left, right) for each computed tile on or above the diagonal of W.
 
-    The points are taken in the given order (sample order if None); rows
-    is a slice of at most _TILE positions in that order, cols a slice or an
-    index array of at most _TILE positions, and
+    The points are taken in sample order at tau = 0 and in _cloud_order at
+    tau > 0; rows is a slice of at most _TILE positions in that order, cols
+    a slice or an index array of at most _TILE positions, and
     W[order[rows], order[cols]] = left[:, None] * block * right[None, :]
     off the diagonal; a diagonal tile comes with cols the same object as
     rows. The cloud is centred once, y = x - mean(x), and the
@@ -194,9 +190,8 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig, order):
     right is multiplied in (right is then 1) and the entries with
     left * block below tau are zeroed. The margin, _ROUNDOFF times r2 plus
     the pair's largest |ys|^2, bounds the exponents' GEMM and exp roundoff.
-    Pairs skip only between compact tiles, so callers at tau > 0 pass the
-    order of _tile_order. Each such pass logs its tile classes at debug,
-    with the columns trimmed below.
+    Pairs skip only between compact tiles, hence the order. Each such pass
+    logs its tile classes at debug, with the columns trimmed below.
 
     A masked pair off the diagonal is trimmed, not computed, when both its
     tiles take the factorized kernel and its column tile is full: a column
@@ -204,12 +199,8 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig, order):
     dropped (the mask would zero its every entry), and the positions of the
     others are gathered, over the row's trimmed pairs in order, into masked
     tiles of up to _TILE columns. These come after the row's other tiles,
-    with cols an increasing index array. BLAS rounds the last few columns of
-    a product of ragged width with narrower kernels, so differently from a
-    full tile; a gathered tile's product is taken over a multiple of
-    _COLUMN_STEP columns (its last column repeated), and a ragged column
-    tile is never trimmed, so every weight rounds as in its own tile at
-    tau = 0.
+    with cols an increasing index array. The columns are tested in the full
+    tiles of ys, so the ragged last column tile is never trimmed.
 
     A diagonal tile's own diagonal is 0: the self-weight W_uu = 1 is left to
     the consumer. GEMM roundoff is not symmetric in u and v, so a diagonal
@@ -222,8 +213,8 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig, order):
     x = cloud.points
     ys = x - x.mean(axis=0)
     ys /= np.sqrt(kernel.epsilon)
-    if order is not None:
-        ys = ys[order]
+    if tau > 0.0:
+        ys = ys[_cloud_order(cloud)]
     half = 0.5 * np.einsum("ij,ij->i", ys, ys)
     a = np.exp(-half)
     starts = range(0, n, _TILE)
@@ -280,18 +271,16 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig, order):
                 right = ones[:nc]
             yield rows, cols, block, left, right
         if tau > 0.0 and len(near):
-            # the kept columns, gathered into masked tiles of up to _TILE columns,
-            # each computed over a multiple of _COLUMN_STEP (the last column repeated)
-            padded = np.pad(near, (0, -len(near) % _COLUMN_STEP), mode="edge")
+            # the kept columns, gathered into masked tiles of up to _TILE columns
             left = a[rows]
             for c0 in range(0, len(near), _TILE):
-                cols, wide = near[c0 : c0 + _TILE], padded[c0 : c0 + _TILE]
-                block = tile[: nr * len(wide)].reshape(nr, len(wide))
-                np.matmul(ys[rows], ys[wide].T, out=block)
+                cols = near[c0 : c0 + _TILE]
+                block = tile[: nr * len(cols)].reshape(nr, len(cols))
+                np.matmul(ys[rows], ys[cols].T, out=block)
                 np.exp(block, out=block)
-                _truncate(block, left, a[wide], tau, keep)
+                _truncate(block, left, a[cols], tau, keep)
                 chunks += 1
-                yield rows, cols, block[:, : len(cols)], left, ones[: len(cols)]
+                yield rows, cols, block, left, ones[: len(cols)]
     if tau > 0.0:
         unmasked = len(starts) * (len(starts) + 1) // 2 - skipped - masked
         log.debug(
@@ -337,45 +326,34 @@ def build_weights(cloud: PointCloud, kernel: KernelConfig) -> np.ndarray:
     Returns the N x N float64 ndarray; a truncated W (tau > 0) holds its
     dropped weights as exact zeros. Refused above DENSE_LIMIT points.
 
-    The kernel tiles come from the block loop shared with kernel_matvec, in
-    the factorized form a_u exp(y_u.y_v / eps) a_v on the centred cloud
-    (the norm expansion for tile pairs past the exp overflow bound), on the
-    cloud in _tile_order; each tile is written through the order into a
-    zeroed W (a gathered tile of trimmed columns through np.ix_), and
-    skipped tile pairs and trimmed columns stay 0. The order is taken at every
-    tau, not only at tau > 0: the tiles, and so the GEMM roundoff of each
-    weight, are then the same at every tau. Each tile is scaled by its
-    column factor before its row factor, the order of the masked tiles, so
-    a weight kept at tau > 0 is bit-equal to the same weight at tau = 0.
-    Each unordered tile is computed once and mirrored (a diagonal tile
-    keeps its upper triangle), so the result is symmetric bit-for-bit. The
-    diagonal is set to exactly 1 (it survives any tau < 1), and W is
-    clamped at 1, which the factorized weight of two coincident points can
-    pass by a few ulps.
+    The kernel tiles come from the tau = 0 pass of the block loop shared
+    with kernel_matvec, in sample order, in the factorized form
+    a_u exp(y_u.y_v / eps) a_v on the centred cloud (the norm expansion for
+    tile pairs past the exp overflow bound). At tau > 0 each scaled tile
+    then has its weights below tau zeroed, so a stored weight is the
+    tau = 0 weight, bit for bit, or +0.0. Each unordered tile is computed
+    once and mirrored (a diagonal tile keeps its upper triangle), so the
+    result is symmetric bit-for-bit. The diagonal is set to exactly 1 (it
+    survives any tau < 1), and W is clamped at 1, which the factorized
+    weight of two coincident points can pass by a few ulps.
     """
     n = cloud.n_points
     if n > DENSE_LIMIT:
         raise ValueError(
             f"stored weight matrix limited to N <= {DENSE_LIMIT} points (got {n})"
         )
-    order = _cloud_order(cloud)
+    tau = kernel.truncation_tau
     w = np.zeros((n, n), dtype=np.float64)
-    for rows, cols, block, left, right in _kernel_blocks(cloud, kernel, order):
+    for rows, cols, block, left, right in _kernel_blocks(cloud, KernelConfig(kernel.epsilon)):
         block *= right
         block *= left[:, None]
+        if tau > 0.0:
+            block *= block >= tau  # the block is >= 0, so the dropped weights become +0.0
         if cols is rows:
-            w[order[rows], rows] = np.triu(block) + np.triu(block, 1).T
-            continue
-        if isinstance(cols, slice):
-            w[order[rows], cols] = block
+            w[rows, rows] = np.triu(block) + np.triu(block, 1).T
         else:
-            w[np.ix_(order[rows], cols)] = block
-        w[order[cols], rows] = block.T
-    # the rows are in place; gather the columns back from tile order, a band of rows at a time
-    inverse = np.argsort(order)
-    for i0 in range(0, n, _TILE):
-        band = w[i0 : i0 + _TILE]
-        band[:] = band.take(inverse, axis=1)
+            w[rows, cols] = block
+            w[cols, rows] = block.T
     np.fill_diagonal(w, 1.0)
     np.minimum(w, 1.0, out=w)
     return w
@@ -400,26 +378,26 @@ def degrees_from_cloud(cloud: PointCloud, kernel: KernelConfig) -> np.ndarray:
 def kernel_matvec(cloud: PointCloud, kernel: KernelConfig, g) -> np.ndarray:
     """The product W @ g computed straight from the cloud, never materializing W.
 
-    Same kernel tiles and truncation as build_weights, so memory stays at
-    one tile instead of W's nnz. A tile's factors go on the vectors, in
-    O(N) work: W[rows, cols] g[cols] = left * (block @ (right * g[cols])).
-    The self-weight W_uu = 1 adds g exactly. At tau > 0 the pass runs on
-    the cloud in _tile_order, so far tile pairs are skipped and masked ones
-    trimmed: g is permuted in and the result permuted back, and a gathered
-    tile reads g[cols] and adds into out[cols] (its positions are unique).
-    The order is computed once per cloud, so the degree pass and the W g
-    pass of a cell share it. At tau = 0 no pair can be skipped, and the
-    pass keeps the sample order rather than pay for ordering. A
-    diagonal tile multiplies over its full square, so the result can differ
-    from build_weights(...) @ g at ~1e-15 relative, as degrees_from_cloud
-    does from degrees.
+    The same weights as build_weights, but memory stays at one tile instead
+    of W's nnz. A tile's factors go on the vectors, in O(N) work:
+    W[rows, cols] g[cols] = left * (block @ (right * g[cols])).
+    The self-weight W_uu = 1 adds g exactly. At tau > 0 the tiles come in
+    _cloud_order, so far tile pairs are skipped and masked ones trimmed: g
+    is permuted in and the result permuted back, and a gathered tile reads
+    g[cols] and adds into out[cols] (its positions are unique). At tau = 0
+    no pair can be skipped, and the pass keeps the sample order rather than
+    pay for ordering. The tiles, and a diagonal tile's full square, round
+    apart from build_weights' own, so the result can differ from
+    build_weights(...) @ g at ~1e-15 relative, as degrees_from_cloud does
+    from degrees, and a weight within roundoff of tau may be kept by one
+    and dropped by the other.
     """
     g = _check_vertex_function(g, cloud.n_points)
     order = _cloud_order(cloud) if kernel.truncation_tau > 0.0 else None
     if order is not None:
         g = g[order]
     out = g.copy()
-    for rows, cols, block, left, right in _kernel_blocks(cloud, kernel, order):
+    for rows, cols, block, left, right in _kernel_blocks(cloud, kernel):
         out[rows] += left * (block @ (right * g[cols]))
         if cols is not rows:
             # W is symmetric: the block's transpose is the mirrored block

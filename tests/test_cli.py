@@ -274,8 +274,11 @@ class TestRun:
         path = write_spec(tmp_path)
         out = tmp_path / "o"
         assert main(["run", "--config", str(path), "--out", str(out), "--parallelism", k]) == 0
-        threads = json.loads((out / "summary.json").read_text())["threads"]
-        assert threads == {"cell_pool": width}
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["threads"] == {"cell_pool": width}
+        assert summary["schema_version"] == 1
+        # this process has at least imported numpy, and holds far less than 64 GB
+        assert 10.0 < summary["peak_rss_mb"] < 65536.0
 
     def test_results_do_not_depend_on_blas_threads(self, tmp_path):
         # A kernel tile's products are too small for BLAS to thread, so the

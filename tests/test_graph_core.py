@@ -20,12 +20,17 @@ from graph_calculus import (
     build_weights,
     degrees,
     degrees_from_cloud,
+    divergence,
+    gradient,
+    inner_edge,
+    inner_vertex,
     kernel_matvec,
     laplacian_apply,
     laplacian_from_cloud,
+    laplacian_matrix,
     sample,
 )
-from graph_calculus import graph_core
+from graph_calculus import graph_core, verification
 
 
 def random_cloud(n, dim, seed):
@@ -311,6 +316,40 @@ class TestKernelMatvec:
         assert (np.abs(got - w @ g) <= bound).all()
 
 
+class TestOperatorIdentities:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        case=degenerate_clouds(),
+        log_eps=st.floats(-9.0, 6.0),
+        tau=st.sampled_from((0.0, 1e-8)),
+    )
+    def test_identities_hold_on_degenerate_clouds(self, case, log_eps, tau):
+        # The identities verify checks, with its tolerances, on the stored W
+        # of duplicated and collinear clouds; at tau > 0 W is its own tau = 0
+        # result with the weights below tau zeroed.
+        pts, f, rows = case
+        cloud = PointCloud(points=pts)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_core, "_TILE", rows)
+            w = build_weights(cloud, KernelConfig(epsilon=10.0**log_eps, truncation_tau=tau))
+            dense = build_weights(cloud, KernelConfig(epsilon=10.0**log_eps))
+        assert np.array_equal(w, w.T)
+        assert np.array_equal(w, np.where(dense >= tau, dense, 0.0))
+        tol = verification._TOLERANCES
+        d = degrees(w)
+        field = np.random.default_rng(len(pts)).standard_normal((len(pts), len(pts)))
+        g = gradient(f, w, d)
+        assert np.abs(g + g.T).max() <= tol["gradient_antisymmetry"]
+        a, b = inner_edge(g, field), inner_vertex(f, divergence(field, w, d))
+        # Where f is constant on duplicated points, <f, div F> cancels terms
+        # of W's size down to a result as small as the weights between
+        # clusters, so the residual is taken relative to its summands too.
+        terms = np.abs(f) @ (np.sqrt(w / (2.0 * d[:, None])) * np.abs(field - field.T)).sum(axis=1)
+        assert abs(a + b) <= tol["adjointness"] * max(abs(a), abs(b), terms, np.finfo(float).tiny)
+        divgrad = verification._divgrad_matrix(w, d)
+        assert np.abs(divgrad - laplacian_matrix(w, d)).max() <= tol["divgrad_factorization"]
+
+
 def circle_and_far_cluster(seed):
     """64 points on the unit circle, then a cluster of 20 at distance 6.
 
@@ -343,10 +382,10 @@ class TestFactorizedKernel:
         cloud = circle_and_far_cluster(17)
         split_blocks(84, 16)
         kernel = KernelConfig(epsilon=0.02, truncation_tau=tau)
-        order = graph_core._tile_order(cloud.points)
+        order = graph_core._cloud_order(cloud) if tau > 0.0 else np.arange(84)
         pairs = [
             (order[rows], order[cols], left)
-            for rows, cols, _, left, _ in graph_core._kernel_blocks(cloud, kernel, order)
+            for rows, cols, _, left, _ in graph_core._kernel_blocks(cloud, kernel)
         ]
         # a fallback tile carries unit factors, a factorized one carries a < 1
         unit = [bool((left == 1.0).all()) for *_, left in pairs]
@@ -524,11 +563,11 @@ class TestTileClasses:
         pts = sample(case, 300, 4).points
         monkeypatch.setattr(graph_core, "_TILE", 16)
         cloud, kernel = PointCloud(points=pts), KernelConfig(epsilon=0.01, truncation_tau=tau)
-        order = graph_core._tile_order(pts)
+        order = graph_core._cloud_order(cloud)
         ref = pairwise_weights(pts[order], 0.01)
         covered = np.zeros((300, 300), dtype=bool)  # in tile order
         spans = []
-        for rows, cols, _, _, _ in graph_core._kernel_blocks(cloud, kernel, order):
+        for rows, cols, _, _, _ in graph_core._kernel_blocks(cloud, kernel):
             cols = np.arange(300)[cols]
             covered[rows, cols] = True
             if rows.stop <= cols[0]:
@@ -556,16 +595,20 @@ class TestTileClasses:
 
     @pytest.mark.parametrize("case", ["circle", "sphere"])
     def test_trimmed_weights_are_bit_equal_to_dense(self, case):
-        # At the default tile, the gathered chunks and the last column tile
-        # (1333 = 5 x 224 + 213) are wide enough for BLAS to round their
-        # last columns with narrower kernels; every kept weight must still
-        # round as in its own tile at tau = 0.
+        # The stored W at tau > 0 is its tau = 0 tiles with the weights below
+        # tau zeroed. At the default tile the matrix-free pass gathers chunks
+        # of ragged width and has a ragged last column tile
+        # (1333 = 5 x 224 + 213), which BLAS rounds with narrower kernels
+        # than a full tile; W g must still agree with the stored product.
         cloud = sample(case, 1333, 3)
+        kernel = KernelConfig(epsilon=0.02, truncation_tau=1e-8)
         dense = build_weights(cloud, KernelConfig(epsilon=0.02))
-        trunc = build_weights(cloud, KernelConfig(epsilon=0.02, truncation_tau=1e-8))
+        trunc = build_weights(cloud, kernel)
         kept = dense >= 1e-8
         assert np.array_equal(trunc[kept], dense[kept])
         assert not trunc[~kept].any()
+        g = np.random.default_rng(23).uniform(0.5, 1.5, 1333)
+        np.testing.assert_allclose(kernel_matvec(cloud, kernel, g), trunc @ g, rtol=1e-13, atol=0.0)
 
     def test_order_is_computed_once_per_cloud(self, monkeypatch):
         # The degree pass and the W g pass of a cell share one order; a

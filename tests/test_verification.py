@@ -1,6 +1,6 @@
 import pytest
 
-from graph_calculus import run_invariant_suite
+from graph_calculus import build_weights, run_invariant_suite, verification
 
 EXPECTED_NAMES = {
     "gradient_antisymmetry",
@@ -24,8 +24,14 @@ def test_smallest_legal_graph():
     assert all(rep.passed for rep in reports)
 
 
-def test_corrupted_weight_matrix_breaks_adjointness():
-    reports = {r.name: r for r in run_invariant_suite(n=40, n_seeds=1, corrupt=True)}
+def test_corrupted_weight_matrix_breaks_adjointness(monkeypatch):
+    def corrupted(cloud, kernel):
+        w = build_weights(cloud, kernel)
+        w[0, 1] += 1e-3  # asymmetric on purpose
+        return w
+
+    monkeypatch.setattr(verification, "build_weights", corrupted)
+    reports = {r.name: r for r in run_invariant_suite(n=40, n_seeds=1)}
     assert not reports["adjointness"].passed
     assert reports["adjointness"].worst_residual > 1e-10
 
