@@ -386,6 +386,7 @@ def lemma_check(
     errors = estimate - reference
 
     abs_err = np.abs(errors)
+    median = float(np.median(abs_err))
     normalizer = float(np.abs(reference).max())
     if normalizer == 0.0:
         normalizer = 1.0  # relative error degrades to absolute for zero targets
@@ -401,10 +402,10 @@ def lemma_check(
         reference=reference,
         errors=errors,
         degrees=d,
-        err_abs_median=float(np.median(abs_err)),
+        err_abs_median=median,
         err_abs_mean=float(abs_err.mean()),
         err_abs_max=float(abs_err.max()),
-        err_rel_median=float(np.median(abs_err) / normalizer),
+        err_rel_median=median / normalizer,
         degree_stats=_degree_stats(d, m, cloud.points, epsilon),
         regime=regime,
         low_neighbor_warning=warned,

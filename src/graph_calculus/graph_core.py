@@ -27,20 +27,24 @@ DENSE_LIMIT = 4096
 # temporaries stay in one core's L2 cache (sides 192-320 timed alike, 512 was
 # slower). W g is summed tile by tile, so changing it moves sums in the last bits.
 # Products this small stay under BLAS's own threading thresholds, so a pass
-# runs on its calling thread, unless the cloud has a high ambient dimension.
+# runs on its calling thread, unless the cloud has a high ambient dimension
+# (OpenBLAS 0.3.31 on 2 cores threads a tau = 0 pass from 9 dimensions, and a
+# tau > 0 pass, whose left operands are column-major copies, from 18).
 _TILE = 224
 
 # Largest |y_u|^2 / eps (y the centred cloud) of a tile for which its tile
-# pairs take the factorized kernel. By Cauchy-Schwarz every exponent
-# y_u.y_v / eps of such a pair is at most this, below exp's overflow at
-# 709.78, and every a_u = exp(-|y_u|^2 / (2 eps)) is at least exp(-350), far
-# from underflow. Pairs past it take the norm expansion.
+# pairs take the factorized kernel at tau = 0. By Cauchy-Schwarz every
+# exponent y_u.y_v / eps of such a pair is at most this, below exp's overflow
+# at 709.78, and every a_u = exp(-|y_u|^2 / (2 eps)) is at least exp(-350),
+# far from underflow. Pairs past it take the norm expansion. At tau > 0 every
+# tile is ln W <= 0, which cannot overflow, so the bound plays no part there.
 _EXP_LIMIT = 700.0
 
 # Relative roundoff margin of the tile-pair classes at tau > 0: a pair is
 # skipped or left unmasked only when its boxes clear the cut radius by
-# _ROUNDOFF * (r2 + max |ys|^2) in squared distance. The exponents' GEMM and
-# exp err by a few ulps of max |ys|^2; this allows 4096 ulps.
+# _ROUNDOFF * (r2 + max |ys|^2) in squared distance. The GEMM that gives
+# ln W = ys_u.ys_v - |ys_u|^2 / 2 - |ys_v|^2 / 2 errs by a few ulps of
+# max |ys|^2; this allows 4096 ulps.
 _ROUNDOFF = 2.0**-40
 
 # Column tiles whose columns the trim tests in one vectorized step: its
@@ -173,34 +177,40 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig):
     a slice or an index array of at most _TILE positions, and
     W[order[rows], order[cols]] = left[:, None] * block * right[None, :]
     off the diagonal; a diagonal tile comes with cols the same object as
-    rows. The cloud is centred once, y = x - mean(x), and the
-    kernel factorizes as W = diag(a) exp(Y Y^T / eps) diag(a) with
-    a_u = exp(-|y_u|^2 / (2 eps)): a tile is one GEMM on ys = y / sqrt(eps)
-    and an in-place exp, with left and right slices of a. A tile pair past
-    _EXP_LIMIT takes the norm expansion -(|y_u|^2 + |y_v|^2 - 2 y_u.y_v) / (2 eps)
-    on the same product instead, and carries unit factors.
+    rows. The cloud is centred once, y = x - mean(x), and scaled,
+    ys = y / sqrt(eps), so that ln W_uv = ys_u.ys_v - h_u - h_v with
+    h_u = |ys_u|^2 / 2. Each tile is one GEMM into a reused buffer and an
+    in-place exp.
 
-    At tau > 0 a weight is dropped where |ys_u - ys_v|^2 > r2 = -2 ln tau,
-    and each tile pair falls in one of three classes by the bounding boxes
-    of its two tiles in ys. Where the squared gap between the boxes exceeds
-    r2 plus a roundoff margin, the pair is skipped: every entry it would
-    hold is one the mask zeroes. Where the squared farthest distance between
-    the boxes is below r2 minus the margin, the pair is yielded unmasked, as
-    at tau = 0: the mask would keep every entry. Every other pair is masked:
-    right is multiplied in (right is then 1) and the entries with
-    left * block below tau are zeroed. The margin, _ROUNDOFF times r2 plus
-    the pair's largest |ys|^2, bounds the exponents' GEMM and exp roundoff.
-    Pairs skip only between compact tiles, hence the order. Each such pass
-    logs its tile classes at debug, with the columns trimmed below.
+    At tau = 0 the kernel factorizes as W = diag(a) exp(Ys Ys^T) diag(a)
+    with a_u = exp(-h_u): the GEMM is ys ys^T, and left and right are slices
+    of a. A tile pair past _EXP_LIMIT takes the norm expansion
+    ys_u.ys_v - h_u - h_v on the same product instead, and carries unit
+    factors.
 
-    A masked pair off the diagonal is trimmed, not computed, when both its
-    tiles take the factorized kernel and its column tile is full: a column
-    whose squared gap to the row tile's box exceeds r2 plus the margin is
-    dropped (the mask would zero its every entry), and the positions of the
-    others are gathered, over the row's trimmed pairs in order, into masked
-    tiles of up to _TILE columns. These come after the row's other tiles,
-    with cols an increasing index array. The columns are tested in the full
-    tiles of ys, so the ragged last column tile is never trimmed.
+    At tau > 0 the GEMM gives ln W itself: one array aug = [ys, -h, 1] is
+    kept per pass, and aug[rows] with its last two columns swapped, times
+    aug[cols]^T, is ln W. Every tile carries unit factors. A weight is
+    dropped where |ys_u - ys_v|^2 > r2 = -2 ln tau, and each tile pair falls
+    in one of three classes by the bounding boxes of its two tiles in ys.
+    Where the squared gap between the boxes exceeds r2 plus a roundoff
+    margin, the pair is skipped: every entry it would hold is one the mask
+    zeroes. Where the squared farthest distance between the boxes is below
+    r2 minus the margin, the pair is yielded unmasked, a plain exp: the mask
+    would keep every entry. Every other pair is masked: the entries with
+    ln W below ln tau are zeroed after the exp. The margin, _ROUNDOFF times
+    r2 plus the pair's largest |ys|^2, bounds the GEMM's roundoff. Pairs
+    skip only between compact tiles, hence the order. Each such pass logs
+    its tile classes at debug, with the columns trimmed below.
+
+    A masked pair off the diagonal is trimmed, not computed, when its
+    column tile is full: a column whose squared gap to the row tile's box
+    exceeds r2 plus the margin is dropped (the mask would zero its every
+    entry), and the positions of the others are gathered, over the row's
+    trimmed pairs in order, into masked tiles of up to _TILE columns. These
+    come after the row's other tiles, with cols an increasing index array.
+    The columns are tested in the full tiles of ys, so the ragged last
+    column tile is never trimmed.
 
     A diagonal tile's own diagonal is 0: the self-weight W_uu = 1 is left to
     the consumer. GEMM roundoff is not symmetric in u and v, so a diagonal
@@ -211,22 +221,31 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig):
     n = cloud.n_points
     tau = kernel.truncation_tau
     x = cloud.points
-    ys = x - x.mean(axis=0)
-    ys /= np.sqrt(kernel.epsilon)
-    if tau > 0.0:
-        ys = ys[_cloud_order(cloud)]
-    half = 0.5 * np.einsum("ij,ij->i", ys, ys)
-    a = np.exp(-half)
     starts = range(0, n, _TILE)
-    top = 2.0 * np.maximum.reduceat(half, starts)  # largest |ys|^2 of each tile
-    fits = top <= _EXP_LIMIT
     if tau > 0.0:
-        r2 = -2.0 * np.log(tau)
+        # aug = [ys, -|ys|^2 / 2, 1] in _cloud_order, ys a view of its first columns
+        dim = cloud.ambient_dim
+        aug = np.empty((n, dim + 2))
+        ys = aug[:, :dim]
+        np.subtract(x[_cloud_order(cloud)], x.mean(axis=0), out=ys)
+        ys /= np.sqrt(kernel.epsilon)
+        aug[:, dim] = -0.5 * np.einsum("ij,ij->i", ys, ys)
+        aug[:, dim + 1] = 1.0
+        swap = [*range(dim), dim + 1, dim]
+        top = -2.0 * np.minimum.reduceat(aug[:, dim], starts)  # largest |ys|^2 of each tile
+        ln_tau = np.log(tau)
+        r2 = -2.0 * ln_tau
         lo, hi = np.minimum.reduceat(ys, starts), np.maximum.reduceat(ys, starts)
         sizes = np.diff([*starts, n])
-        whole = fits & (sizes == _TILE)  # the column tiles a masked pair may trim
-        ys3 = ys[: n // _TILE * _TILE].reshape(-1, _TILE, ys.shape[1])  # the full tiles
+        whole = sizes == _TILE  # the column tiles a masked pair may trim
+        ys3 = ys[: n // _TILE * _TILE].reshape(-1, _TILE, dim)  # the full tiles
         skipped = masked = dropped = kept_cols = trimmed_cols = chunks = 0
+    else:
+        ys = x - x.mean(axis=0)
+        ys /= np.sqrt(kernel.epsilon)
+        half = 0.5 * np.einsum("ij,ij->i", ys, ys)
+        a = np.exp(-half)
+        fits = 2.0 * np.maximum.reduceat(half, starts) <= _EXP_LIMIT
     ones = np.ones(_TILE)
     tile = np.empty(_TILE * _TILE)
     keep = np.empty(_TILE * _TILE, dtype=bool)
@@ -243,44 +262,48 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig):
             skipped += int(skip.sum())
             masked += int(mask.sum())
             dropped += 2 * nr * int(sizes[bi:][skip].sum())
-            trim = mask & fits[bi] & whole[bi:]
+            trim = mask & whole[bi:]
             trim[0] = False  # the diagonal tile is never trimmed
             near = _near_columns(ys3, bi + np.flatnonzero(trim), lo[bi], hi[bi], r2 + margin[trim])
             kept_cols += len(near)
             trimmed_cols += int(trim.sum()) * _TILE - len(near)
             done = skip | trim  # the pairs not computed as tiles below
+            lhs = aug[rows, swap]
         for bj, j0 in enumerate(starts[bi:], start=bi):
             if tau > 0.0 and done[bj - bi]:
                 continue
             cols = slice(j0, min(j0 + _TILE, n)) if bj > bi else rows
             nc = cols.stop - j0
             block = tile[: nr * nc].reshape(nr, nc)
-            np.matmul(ys[rows], ys[cols].T, out=block)
-            if fits[bi] and fits[bj]:
-                left, right = a[rows], a[cols]
-            else:
-                block -= half[rows, None]
-                block -= half[None, cols]
-                np.minimum(block, 0.0, out=block)  # GEMM roundoff can lift it above 0
+            if tau > 0.0:
+                np.matmul(lhs, aug[cols].T, out=block)
                 left, right = ones[:nr], ones[:nc]
-            np.exp(block, out=block)
+                if mask[bj - bi]:
+                    _threshold_exp(block, ln_tau, keep)
+                else:
+                    np.exp(block, out=block)
+            else:
+                np.matmul(ys[rows], ys[cols].T, out=block)
+                if fits[bi] and fits[bj]:
+                    left, right = a[rows], a[cols]
+                else:
+                    block -= half[rows, None]
+                    block -= half[None, cols]
+                    np.minimum(block, 0.0, out=block)  # GEMM roundoff can lift it above 0
+                    left, right = ones[:nr], ones[:nc]
+                np.exp(block, out=block)
             if bj == bi:
                 np.fill_diagonal(block, 0.0)
-            if tau > 0.0 and mask[bj - bi]:
-                _truncate(block, left, right, tau, keep)
-                right = ones[:nc]
             yield rows, cols, block, left, right
         if tau > 0.0 and len(near):
             # the kept columns, gathered into masked tiles of up to _TILE columns
-            left = a[rows]
             for c0 in range(0, len(near), _TILE):
                 cols = near[c0 : c0 + _TILE]
                 block = tile[: nr * len(cols)].reshape(nr, len(cols))
-                np.matmul(ys[rows], ys[cols].T, out=block)
-                np.exp(block, out=block)
-                _truncate(block, left, a[cols], tau, keep)
+                np.matmul(lhs, aug[cols].T, out=block)
+                _threshold_exp(block, ln_tau, keep)
                 chunks += 1
-                yield rows, cols, block, left, ones[: len(cols)]
+                yield rows, cols, block, ones[:nr], ones[: len(cols)]
     if tau > 0.0:
         unmasked = len(starts) * (len(starts) + 1) // 2 - skipped - masked
         log.debug(
@@ -312,10 +335,10 @@ def _near_columns(ys3, tiles, lo, hi, limits):
     return np.concatenate(near)
 
 
-def _truncate(block, left, right, tau, keep):
-    """Scale a tile's columns by right and zero its entries below tau / left, in place."""
-    np.multiply(block, right, out=block)
-    kept = np.greater_equal(block, tau / left[:, None], out=keep[: block.size].reshape(block.shape))
+def _threshold_exp(block, ln_tau, keep):
+    """Turn a tile of ln W into W with its entries below exp(ln_tau) zeroed, in place."""
+    kept = np.greater_equal(block, ln_tau, out=keep[: block.size].reshape(block.shape))
+    np.exp(block, out=block)
     # the block is >= 0, so the dropped entries become +0.0
     np.multiply(block, kept, out=block)
 
@@ -380,7 +403,10 @@ def kernel_matvec(cloud: PointCloud, kernel: KernelConfig, g) -> np.ndarray:
 
     The same weights as build_weights, but memory stays at one tile instead
     of W's nnz. A tile's factors go on the vectors, in O(N) work:
-    W[rows, cols] g[cols] = left * (block @ (right * g[cols])).
+    W[rows, cols] g[cols] = left * (block @ (right * g[cols])). At tau = 0
+    they are slices of the factorized kernel's a (1 past its overflow bound);
+    at tau > 0 a tile is exp(ln W) with its weights below tau zeroed, and its
+    factors are 1.
     The self-weight W_uu = 1 adds g exactly. At tau > 0 the tiles come in
     _cloud_order, so far tile pairs are skipped and masked ones trimmed: g
     is permuted in and the result permuted back, and a gathered tile reads

@@ -387,10 +387,11 @@ class TestFactorizedKernel:
             (order[rows], order[cols], left)
             for rows, cols, _, left, _ in graph_core._kernel_blocks(cloud, kernel)
         ]
-        # a fallback tile carries unit factors, a factorized one carries a < 1
-        unit = [bool((left == 1.0).all()) for *_, left in pairs]
-        assert any(unit) and not all(unit)
-        if tau > 0.0:
+        if tau == 0.0:
+            # a fallback tile carries unit factors, a factorized one carries a < 1
+            unit = [bool((left == 1.0).all()) for *_, left in pairs]
+            assert any(unit) and not all(unit)
+        else:
             # the ordered tiles hold circle points or cluster points, and the
             # pairs of a circle tile with a cluster tile are skipped
             for rows, cols, _ in pairs:
@@ -408,8 +409,9 @@ class TestFactorizedKernel:
     @pytest.mark.parametrize("eps", [1e-9, 1e-12])
     @pytest.mark.parametrize("tau", [0.0, 1e-8])
     def test_tiny_epsilon_stays_finite(self, split_blocks, eps, tau):
-        # Every a_u underflows to 0 here, and tau / a_u would be inf; the
-        # fallback keeps 0 * inf out. Duplicated points keep weight 1.
+        # Every a_u underflows to 0 here, and exp(y_u.y_v / eps) would be inf;
+        # at tau = 0 the fallback keeps 0 * inf out, and at tau > 0 the tiles
+        # take ln W, which needs no a. Duplicated points keep weight 1.
         theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
         circle = np.c_[np.cos(theta), np.sin(theta)]
         cloud = PointCloud(points=np.vstack([circle, circle[:5]]))
@@ -489,6 +491,30 @@ class TestTileClasses:
         # an entry within 1e-12 of tau may go either way
         bound = 1e-13 * (expected @ g) + (band * ref) @ g
         assert (np.abs(got - expected @ g) <= bound).all()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=cut_radius_clouds())
+    @example(case=pairs_on_a_line([1e-9, -1e-9, 1e-7, -1e-7]))
+    def test_tiles_are_truncated_weights_with_unit_factors(self, case):
+        # At tau > 0 each tile is exp(ln W) with the weights below tau zeroed:
+        # it carries unit factors, and each entry is the truncated pairwise
+        # weight, or, within 1e-12 of tau, either that weight or 0.
+        pts, eps, tau, tile = case
+        cloud = PointCloud(points=pts)
+        ref = pairwise_weights(pts, eps)
+        expected, band = truncated_pairwise_weights(pts, eps, tau)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_core, "_TILE", tile)
+            order = graph_core._cloud_order(cloud)
+            for rows, cols, block, left, right in graph_core._kernel_blocks(cloud, KernelConfig(eps, tau)):
+                assert (left == 1.0).all() and (right == 1.0).all()
+                pair = np.ix_(order[rows], order[cols])
+                want, either, weight = expected[pair], band[pair], ref[pair]
+                if cols is rows:
+                    np.fill_diagonal(want, 0.0)  # the self-weight is left to the consumer
+                np.testing.assert_allclose(block[~either], want[~either], rtol=1e-13, atol=0.0)
+                kept = either & (block != 0.0)
+                np.testing.assert_allclose(block[kept], weight[kept], rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize(
         "case, tile",
