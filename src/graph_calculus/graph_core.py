@@ -28,17 +28,9 @@ DENSE_LIMIT = 4096
 # slower). W g is summed tile by tile, so changing it moves sums in the last bits.
 # Products this small stay under BLAS's own threading thresholds, so a pass
 # runs on its calling thread, unless the cloud has a high ambient dimension
-# (OpenBLAS 0.3.31 on 2 cores threads a tau = 0 pass from 9 dimensions, and a
-# tau > 0 pass, whose left operands are column-major copies, from 18).
+# (OpenBLAS 0.3.31 on 2 cores threads a pass, whose left operands are
+# column-major copies, from about 18 dimensions, at every tau).
 _TILE = 224
-
-# Largest |y_u|^2 / eps (y the centred cloud) of a tile for which its tile
-# pairs take the factorized kernel at tau = 0. By Cauchy-Schwarz every
-# exponent y_u.y_v / eps of such a pair is at most this, below exp's overflow
-# at 709.78, and every a_u = exp(-|y_u|^2 / (2 eps)) is at least exp(-350),
-# far from underflow. Pairs past it take the norm expansion. At tau > 0 every
-# tile is ln W <= 0, which cannot overflow, so the bound plays no part there.
-_EXP_LIMIT = 700.0
 
 # Relative roundoff margin of the tile-pair classes at tau > 0: a pair is
 # skipped or left unmasked only when its boxes clear the cut radius by
@@ -170,38 +162,32 @@ def _cloud_order(cloud: PointCloud) -> np.ndarray:
 
 
 def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig):
-    """Yield (rows, cols, block, left, right) for each computed tile on or above the diagonal of W.
+    """Yield (rows, cols, block) for each computed tile on or above the diagonal of W.
 
     The points are taken in sample order at tau = 0 and in _cloud_order at
     tau > 0; rows is a slice of at most _TILE positions in that order, cols
     a slice or an index array of at most _TILE positions, and
-    W[order[rows], order[cols]] = left[:, None] * block * right[None, :]
-    off the diagonal; a diagonal tile comes with cols the same object as
-    rows. The cloud is centred once, y = x - mean(x), and scaled,
-    ys = y / sqrt(eps), so that ln W_uv = ys_u.ys_v - h_u - h_v with
-    h_u = |ys_u|^2 / 2. Each tile is one GEMM into a reused buffer and an
-    in-place exp.
+    W[order[rows], order[cols]] = block off the diagonal; a diagonal tile
+    comes with cols the same object as rows. The cloud is centred once,
+    y = x - mean(x), and scaled, ys = y / sqrt(eps), so that
+    ln W_uv = ys_u.ys_v - h_u - h_v with h_u = |ys_u|^2 / 2. One array
+    aug = [ys, -h, 1] is kept per pass, and aug[rows] with its last two
+    columns swapped, times aug[cols]^T, is ln W: each tile is one GEMM into
+    a reused buffer and an in-place exp. ln W <= 0, up to roundoff, cannot
+    overflow at any offset or eps.
 
-    At tau = 0 the kernel factorizes as W = diag(a) exp(Ys Ys^T) diag(a)
-    with a_u = exp(-h_u): the GEMM is ys ys^T, and left and right are slices
-    of a. A tile pair past _EXP_LIMIT takes the norm expansion
-    ys_u.ys_v - h_u - h_v on the same product instead, and carries unit
-    factors.
-
-    At tau > 0 the GEMM gives ln W itself: one array aug = [ys, -h, 1] is
-    kept per pass, and aug[rows] with its last two columns swapped, times
-    aug[cols]^T, is ln W. Every tile carries unit factors. A weight is
-    dropped where |ys_u - ys_v|^2 > r2 = -2 ln tau, and each tile pair falls
-    in one of three classes by the bounding boxes of its two tiles in ys.
-    Where the squared gap between the boxes exceeds r2 plus a roundoff
-    margin, the pair is skipped: every entry it would hold is one the mask
-    zeroes. Where the squared farthest distance between the boxes is below
-    r2 minus the margin, the pair is yielded unmasked, a plain exp: the mask
-    would keep every entry. Every other pair is masked: the entries with
-    ln W below ln tau are zeroed after the exp. The margin, _ROUNDOFF times
-    r2 plus the pair's largest |ys|^2, bounds the GEMM's roundoff. Pairs
-    skip only between compact tiles, hence the order. Each such pass logs
-    its tile classes at debug, with the columns trimmed below.
+    At tau > 0 a weight is dropped where |ys_u - ys_v|^2 > r2 = -2 ln tau,
+    and each tile pair falls in one of three classes by the bounding boxes
+    of its two tiles in ys. Where the squared gap between the boxes exceeds
+    r2 plus a roundoff margin, the pair is skipped: every entry it would
+    hold is one the mask zeroes. Where the squared farthest distance
+    between the boxes is below r2 minus the margin, the pair is yielded
+    unmasked, a plain exp: the mask would keep every entry. Every other
+    pair is masked: the entries with ln W below ln tau are zeroed after the
+    exp. The margin, _ROUNDOFF times r2 plus the pair's largest |ys|^2,
+    bounds the GEMM's roundoff. Pairs skip only between compact tiles,
+    hence the order. Each such pass logs its tile classes at debug, with
+    the columns trimmed below.
 
     A masked pair off the diagonal is trimmed, not computed, when its
     column tile is full: a column whose squared gap to the row tile's box
@@ -222,16 +208,16 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig):
     tau = kernel.truncation_tau
     x = cloud.points
     starts = range(0, n, _TILE)
+    # aug = [ys, -|ys|^2 / 2, 1] in the pass's order, ys a view of its first columns
+    dim = cloud.ambient_dim
+    aug = np.empty((n, dim + 2))
+    ys = aug[:, :dim]
+    np.subtract(x[_cloud_order(cloud)] if tau > 0.0 else x, x.mean(axis=0), out=ys)
+    ys /= np.sqrt(kernel.epsilon)
+    aug[:, dim] = -0.5 * np.einsum("ij,ij->i", ys, ys)
+    aug[:, dim + 1] = 1.0
+    swap = [*range(dim), dim + 1, dim]
     if tau > 0.0:
-        # aug = [ys, -|ys|^2 / 2, 1] in _cloud_order, ys a view of its first columns
-        dim = cloud.ambient_dim
-        aug = np.empty((n, dim + 2))
-        ys = aug[:, :dim]
-        np.subtract(x[_cloud_order(cloud)], x.mean(axis=0), out=ys)
-        ys /= np.sqrt(kernel.epsilon)
-        aug[:, dim] = -0.5 * np.einsum("ij,ij->i", ys, ys)
-        aug[:, dim + 1] = 1.0
-        swap = [*range(dim), dim + 1, dim]
         top = -2.0 * np.minimum.reduceat(aug[:, dim], starts)  # largest |ys|^2 of each tile
         ln_tau = np.log(tau)
         r2 = -2.0 * ln_tau
@@ -240,18 +226,12 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig):
         whole = sizes == _TILE  # the column tiles a masked pair may trim
         ys3 = ys[: n // _TILE * _TILE].reshape(-1, _TILE, dim)  # the full tiles
         skipped = masked = dropped = kept_cols = trimmed_cols = chunks = 0
-    else:
-        ys = x - x.mean(axis=0)
-        ys /= np.sqrt(kernel.epsilon)
-        half = 0.5 * np.einsum("ij,ij->i", ys, ys)
-        a = np.exp(-half)
-        fits = 2.0 * np.maximum.reduceat(half, starts) <= _EXP_LIMIT
-    ones = np.ones(_TILE)
     tile = np.empty(_TILE * _TILE)
     keep = np.empty(_TILE * _TILE, dtype=bool)
     for bi, i0 in enumerate(starts):
         rows = slice(i0, min(i0 + _TILE, n))
         nr = rows.stop - i0
+        lhs = aug[rows, swap]
         if tau > 0.0:
             # classes of the pairs (bi, bj) for bj >= bi, from the tiles' boxes
             gap = np.maximum(lo[bi:] - hi[bi], lo[bi] - hi[bi:]).clip(min=0.0)
@@ -268,33 +248,20 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig):
             kept_cols += len(near)
             trimmed_cols += int(trim.sum()) * _TILE - len(near)
             done = skip | trim  # the pairs not computed as tiles below
-            lhs = aug[rows, swap]
         for bj, j0 in enumerate(starts[bi:], start=bi):
             if tau > 0.0 and done[bj - bi]:
                 continue
             cols = slice(j0, min(j0 + _TILE, n)) if bj > bi else rows
             nc = cols.stop - j0
             block = tile[: nr * nc].reshape(nr, nc)
-            if tau > 0.0:
-                np.matmul(lhs, aug[cols].T, out=block)
-                left, right = ones[:nr], ones[:nc]
-                if mask[bj - bi]:
-                    _threshold_exp(block, ln_tau, keep)
-                else:
-                    np.exp(block, out=block)
+            np.matmul(lhs, aug[cols].T, out=block)
+            if tau > 0.0 and mask[bj - bi]:
+                _threshold_exp(block, ln_tau, keep)
             else:
-                np.matmul(ys[rows], ys[cols].T, out=block)
-                if fits[bi] and fits[bj]:
-                    left, right = a[rows], a[cols]
-                else:
-                    block -= half[rows, None]
-                    block -= half[None, cols]
-                    np.minimum(block, 0.0, out=block)  # GEMM roundoff can lift it above 0
-                    left, right = ones[:nr], ones[:nc]
                 np.exp(block, out=block)
             if bj == bi:
                 np.fill_diagonal(block, 0.0)
-            yield rows, cols, block, left, right
+            yield rows, cols, block
         if tau > 0.0 and len(near):
             # the kept columns, gathered into masked tiles of up to _TILE columns
             for c0 in range(0, len(near), _TILE):
@@ -303,7 +270,7 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig):
                 np.matmul(lhs, aug[cols].T, out=block)
                 _threshold_exp(block, ln_tau, keep)
                 chunks += 1
-                yield rows, cols, block, ones[:nr], ones[: len(cols)]
+                yield rows, cols, block
     if tau > 0.0:
         unmasked = len(starts) * (len(starts) + 1) // 2 - skipped - masked
         log.debug(
@@ -350,15 +317,14 @@ def build_weights(cloud: PointCloud, kernel: KernelConfig) -> np.ndarray:
     dropped weights as exact zeros. Refused above DENSE_LIMIT points.
 
     The kernel tiles come from the tau = 0 pass of the block loop shared
-    with kernel_matvec, in sample order, in the factorized form
-    a_u exp(y_u.y_v / eps) a_v on the centred cloud (the norm expansion for
-    tile pairs past the exp overflow bound). At tau > 0 each scaled tile
-    then has its weights below tau zeroed, so a stored weight is the
-    tau = 0 weight, bit for bit, or +0.0. Each unordered tile is computed
-    once and mirrored (a diagonal tile keeps its upper triangle), so the
-    result is symmetric bit-for-bit. The diagonal is set to exactly 1 (it
-    survives any tau < 1), and W is clamped at 1, which the factorized
-    weight of two coincident points can pass by a few ulps.
+    with kernel_matvec, in sample order, as exp(ln W) on the centred cloud.
+    At tau > 0 each tile then has its weights below tau zeroed, so a stored
+    weight is the tau = 0 weight, bit for bit, or +0.0. Each unordered tile
+    is computed once and mirrored (a diagonal tile keeps its upper
+    triangle), so the result is symmetric bit-for-bit. The diagonal is set
+    to exactly 1 (it survives any tau < 1), and W is clamped at 1, which
+    the weight of two coincident points can pass by a few ulps, because
+    their ln W can round above 0.
     """
     n = cloud.n_points
     if n > DENSE_LIMIT:
@@ -367,9 +333,7 @@ def build_weights(cloud: PointCloud, kernel: KernelConfig) -> np.ndarray:
         )
     tau = kernel.truncation_tau
     w = np.zeros((n, n), dtype=np.float64)
-    for rows, cols, block, left, right in _kernel_blocks(cloud, KernelConfig(kernel.epsilon)):
-        block *= right
-        block *= left[:, None]
+    for rows, cols, block in _kernel_blocks(cloud, KernelConfig(kernel.epsilon)):
         if tau > 0.0:
             block *= block >= tau  # the block is >= 0, so the dropped weights become +0.0
         if cols is rows:
@@ -402,32 +366,30 @@ def kernel_matvec(cloud: PointCloud, kernel: KernelConfig, g) -> np.ndarray:
     """The product W @ g computed straight from the cloud, never materializing W.
 
     The same weights as build_weights, but memory stays at one tile instead
-    of W's nnz. A tile's factors go on the vectors, in O(N) work:
-    W[rows, cols] g[cols] = left * (block @ (right * g[cols])). At tau = 0
-    they are slices of the factorized kernel's a (1 past its overflow bound);
-    at tau > 0 a tile is exp(ln W) with its weights below tau zeroed, and its
-    factors are 1.
+    of W's nnz. Each tile is exp(ln W), with its weights below tau zeroed at
+    tau > 0, and adds block @ g[cols] to out[rows] and, off the diagonal,
+    g[rows] @ block to out[cols].
     The self-weight W_uu = 1 adds g exactly. At tau > 0 the tiles come in
     _cloud_order, so far tile pairs are skipped and masked ones trimmed: g
     is permuted in and the result permuted back, and a gathered tile reads
     g[cols] and adds into out[cols] (its positions are unique). At tau = 0
     no pair can be skipped, and the pass keeps the sample order rather than
-    pay for ordering. The tiles, and a diagonal tile's full square, round
-    apart from build_weights' own, so the result can differ from
-    build_weights(...) @ g at ~1e-15 relative, as degrees_from_cloud does
-    from degrees, and a weight within roundoff of tau may be kept by one
-    and dropped by the other.
+    pay for ordering. The ordered tiles at tau > 0, and a diagonal tile's
+    full square at every tau, round apart from build_weights' own, so the
+    result can differ from build_weights(...) @ g at ~1e-15 relative, as
+    degrees_from_cloud does from degrees, and a weight within roundoff of
+    tau may be kept by one and dropped by the other.
     """
     g = _check_vertex_function(g, cloud.n_points)
     order = _cloud_order(cloud) if kernel.truncation_tau > 0.0 else None
     if order is not None:
         g = g[order]
     out = g.copy()
-    for rows, cols, block, left, right in _kernel_blocks(cloud, kernel):
-        out[rows] += left * (block @ (right * g[cols]))
+    for rows, cols, block in _kernel_blocks(cloud, kernel):
+        out[rows] += block @ g[cols]
         if cols is not rows:
             # W is symmetric: the block's transpose is the mirrored block
-            out[cols] += right * ((left * g[rows]) @ block)
+            out[cols] += g[rows] @ block
     if order is not None:
         out[order] = out.copy()
     return out

@@ -297,7 +297,7 @@ class TestRun:
         assert csv[0] == csv[1]
 
     def test_dense_results_are_pinned(self, tmp_path):
-        # Dense cells keep the sample order and the tau = 0 tiles, so their
+        # Dense cells take sample-order ln W tiles at tau = 0, so their
         # results.csv must not move by one byte (numpy 2.4, OpenBLAS 0.3.31
         # on x86-64; another BLAS or exp may round the last bits apart).
         import hashlib
@@ -306,7 +306,7 @@ class TestRun:
         out = tmp_path / "pinned"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
         digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
-        assert digest == "fcdda81b8bd6b1382aa9c73af28604974f0610c0795dfe026e89c58d98a95b43"
+        assert digest == "46ad8b67a462f723e603120ad353bff46eee83a15486e9b06fb177a7fe673c43"
 
     def test_summary_hash_matches_file(self, spec_file, tmp_path):
         import hashlib

@@ -182,9 +182,9 @@ class TestBuildWeights:
 
     @pytest.mark.parametrize("eps", [0.01, 0.1, 1.0, 10.0])
     def test_duplicated_points_weigh_at_most_one(self, eps):
-        # The factorized weight of two coincident points rounds to a few ulps
-        # either side of 1 (unclamped, 1.0000000000000142 for seed 0 at eps
-        # 0.01); the stored W is clamped at 1.
+        # The ln W of two coincident points rounds to a few ulps either side
+        # of 0, so their weight rounds to a few ulps either side of 1; the
+        # stored W is clamped at 1.
         for seed in range(10):
             base = np.random.default_rng(seed).uniform(-2.0, 2.0, (3, 3))
             w = build_weights(PointCloud(points=base[[0, 0, 1, 1, 2, 2]]), KernelConfig(epsilon=eps))
@@ -307,10 +307,10 @@ class TestKernelMatvec:
             mp.setattr(graph_core, "_TILE", rows)
             got = kernel_matvec(cloud, kernel, g)
             w = build_weights(cloud, kernel)
-        # The GEMM (or, past the overflow bound, the norm expansion) may
-        # round the exponent of (u, v) and of (v, u) a few ulps of |y|^2 / eps
-        # apart. W keeps one orientation of a diagonal tile and the product
-        # uses both, so a weight may differ by up to that.
+        # The GEMM that gives ln W may round the exponent of (u, v) and of
+        # (v, u) a few ulps of |y|^2 / eps apart. W keeps one orientation of
+        # a diagonal tile and the product uses both, so a weight may differ
+        # by up to that.
         slack = 8 * np.finfo(float).eps * (pts**2).sum(axis=1).max() / (2 * kernel.epsilon)
         bound = 1e-12 * (np.abs(w) @ np.abs(g)) + slack * np.abs(g).sum()
         assert (np.abs(got - w @ g) <= bound).all()
@@ -322,12 +322,15 @@ class TestOperatorIdentities:
         case=degenerate_clouds(),
         log_eps=st.floats(-9.0, 6.0),
         tau=st.sampled_from((0.0, 1e-8)),
+        offset=st.sampled_from((0.0, 1e2, 1e4, 1e6)),
     )
-    def test_identities_hold_on_degenerate_clouds(self, case, log_eps, tau):
+    def test_identities_hold_on_degenerate_clouds(self, case, log_eps, tau, offset):
         # The identities verify checks, with its tolerances, on the stored W
-        # of duplicated and collinear clouds; at tau > 0 W is its own tau = 0
-        # result with the weights below tau zeroed.
+        # of duplicated and collinear clouds, near the origin or translated
+        # far from it; at tau > 0 W is its own tau = 0 result with the
+        # weights below tau zeroed.
         pts, f, rows = case
+        pts = pts + offset
         cloud = PointCloud(points=pts)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graph_core, "_TILE", rows)
@@ -354,8 +357,8 @@ def circle_and_far_cluster(seed):
     """64 points on the unit circle, then a cluster of 20 at distance 6.
 
     Centred, the circle's |y|^2 stays below 6 and the cluster's is about 21,
-    so at eps 0.02 circle tiles take the factorized kernel and every tile
-    pair holding a cluster point passes _EXP_LIMIT.
+    so at eps 0.02 exp(y_u.y_v / eps) of two cluster points is about
+    exp(1050), far past float64's overflow: the tiles must be taken as ln W.
     """
     theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     cluster = [6.0, 0.0] + 0.05 * np.random.default_rng(seed).standard_normal((20, 2))
@@ -382,20 +385,12 @@ class TestFactorizedKernel:
         cloud = circle_and_far_cluster(17)
         split_blocks(84, 16)
         kernel = KernelConfig(epsilon=0.02, truncation_tau=tau)
-        order = graph_core._cloud_order(cloud) if tau > 0.0 else np.arange(84)
-        pairs = [
-            (order[rows], order[cols], left)
-            for rows, cols, _, left, _ in graph_core._kernel_blocks(cloud, kernel)
-        ]
-        if tau == 0.0:
-            # a fallback tile carries unit factors, a factorized one carries a < 1
-            unit = [bool((left == 1.0).all()) for *_, left in pairs]
-            assert any(unit) and not all(unit)
-        else:
+        if tau > 0.0:
             # the ordered tiles hold circle points or cluster points, and the
             # pairs of a circle tile with a cluster tile are skipped
-            for rows, cols, _ in pairs:
-                on_circle = np.r_[rows, cols] < 64
+            order = graph_core._cloud_order(cloud)
+            for rows, cols, _ in graph_core._kernel_blocks(cloud, kernel):
+                on_circle = np.r_[order[rows], order[cols]] < 64
                 assert on_circle.all() or not on_circle.any()
         expected = pairwise_weights(cloud.points, 0.02)
         expected[expected < tau] = 0.0
@@ -409,9 +404,10 @@ class TestFactorizedKernel:
     @pytest.mark.parametrize("eps", [1e-9, 1e-12])
     @pytest.mark.parametrize("tau", [0.0, 1e-8])
     def test_tiny_epsilon_stays_finite(self, split_blocks, eps, tau):
-        # Every a_u underflows to 0 here, and exp(y_u.y_v / eps) would be inf;
-        # at tau = 0 the fallback keeps 0 * inf out, and at tau > 0 the tiles
-        # take ln W, which needs no a. Duplicated points keep weight 1.
+        # Every a_u = exp(-|y_u|^2 / (2 eps)) underflows to 0 here, and
+        # exp(y_u.y_v / eps) would be inf, so W as a_u a_v exp(y_u.y_v / eps)
+        # would be 0 * inf; the tiles take ln W, which needs neither.
+        # Duplicated points keep weight 1.
         theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
         circle = np.c_[np.cos(theta), np.sin(theta)]
         cloud = PointCloud(points=np.vstack([circle, circle[:5]]))
@@ -497,8 +493,8 @@ class TestTileClasses:
     @example(case=pairs_on_a_line([1e-9, -1e-9, 1e-7, -1e-7]))
     def test_tiles_are_truncated_weights_with_unit_factors(self, case):
         # At tau > 0 each tile is exp(ln W) with the weights below tau zeroed:
-        # it carries unit factors, and each entry is the truncated pairwise
-        # weight, or, within 1e-12 of tau, either that weight or 0.
+        # each entry is the truncated pairwise weight, or, within 1e-12 of
+        # tau, either that weight or 0.
         pts, eps, tau, tile = case
         cloud = PointCloud(points=pts)
         ref = pairwise_weights(pts, eps)
@@ -506,8 +502,7 @@ class TestTileClasses:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graph_core, "_TILE", tile)
             order = graph_core._cloud_order(cloud)
-            for rows, cols, block, left, right in graph_core._kernel_blocks(cloud, KernelConfig(eps, tau)):
-                assert (left == 1.0).all() and (right == 1.0).all()
+            for rows, cols, block in graph_core._kernel_blocks(cloud, KernelConfig(eps, tau)):
                 pair = np.ix_(order[rows], order[cols])
                 want, either, weight = expected[pair], band[pair], ref[pair]
                 if cols is rows:
@@ -593,7 +588,7 @@ class TestTileClasses:
         ref = pairwise_weights(pts[order], 0.01)
         covered = np.zeros((300, 300), dtype=bool)  # in tile order
         spans = []
-        for rows, cols, _, _, _ in graph_core._kernel_blocks(cloud, kernel):
+        for rows, cols, _ in graph_core._kernel_blocks(cloud, kernel):
             cols = np.arange(300)[cols]
             covered[rows, cols] = True
             if rows.stop <= cols[0]:
@@ -683,18 +678,22 @@ _THREAD_PROBE = textwrap.dedent(
     """
     import json, time
     import numpy as np
-    from graph_calculus import KernelConfig, degrees_from_cloud, kernel_matvec, sample
+    from graph_calculus import KernelConfig, PointCloud, degrees_from_cloud, kernel_matvec, sample
 
     n, kernel = 4000, KernelConfig(epsilon=0.05, truncation_tau=1e-8)
     degrees_from_cloud(sample("circle", n, 0), kernel)
     time.sleep(0.5)
+    legs = [(manifold, sample(manifold, n, 1), kernel) for manifold in ("circle", "sphere", "torus")]
+    legs += [(f"{manifold}, tau = 0", cloud, KernelConfig(epsilon=0.05)) for manifold, cloud, _ in legs[1:]]
+    # a 12-dimensional cloud: a tile product threads only from about 18 (see _TILE)
+    normal = PointCloud(points=np.random.default_rng(2).standard_normal((n, 12)))
+    legs.append(("12-d normal, tau = 0", normal, KernelConfig(epsilon=1.0)))
     ratios = {}
-    for manifold in ("circle", "sphere", "torus"):
-        cloud = sample(manifold, n, 1)
+    for name, cloud, pass_kernel in legs:
         process, thread = time.process_time(), time.thread_time()
-        degrees_from_cloud(cloud, kernel)
-        kernel_matvec(cloud, kernel, np.linspace(-1.0, 1.0, n))
-        ratios[manifold] = (time.process_time() - process) / (time.thread_time() - thread)
+        degrees_from_cloud(cloud, pass_kernel)
+        kernel_matvec(cloud, pass_kernel, np.linspace(-1.0, 1.0, n))
+        ratios[name] = (time.process_time() - process) / (time.thread_time() - thread)
     print(json.dumps(ratios))
     """
 )
@@ -715,7 +714,9 @@ class TestPassThreads:
             [sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True, text=True, check=True
         )
         ratios = json.loads(done.stdout)
-        assert set(ratios) == {"circle", "sphere", "torus"}
+        assert set(ratios) == {
+            "circle", "sphere", "torus", "sphere, tau = 0", "torus, tau = 0", "12-d normal, tau = 0"
+        }
         assert all(r <= 1.25 for r in ratios.values()), ratios
 
 
