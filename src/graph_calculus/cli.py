@@ -3,7 +3,8 @@
 Thin shell over the library: every number it emits comes from graph_core,
 calculus, manifolds, convergence, or verification. Exit codes: 0 success,
 1 configuration/usage errors, 2 when sweep cells failed (numerically, or
-for want of memory; summary.json names the kind of each failure).
+for want of memory; summary.json names the kind of each failure) or when
+degree-check ran out of memory.
 Logging level comes from GRAPH_CALCULUS_LOG (quiet|info|debug).
 """
 
@@ -268,6 +269,9 @@ def _cmd_degree_check(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:  # as a sweep cell's "resource" failure
+        print(f"error: out of memory: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return EXIT_CELL_FAILURES
     payload = {
         "manifold": res.manifold,
         "N": res.n,

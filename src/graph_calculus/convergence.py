@@ -371,8 +371,11 @@ def lemma_check(
     Samples a cloud (random by seed, or the deterministic grid) and applies
     the normalized Laplacian without storing W: one kernel pass for the
     degrees d = W 1, a second for W (f / sqrt d), so a cell holds one kernel
-    block rather than W's nnz. Returns per-vertex errors plus summary
-    statistics and the degree-asymptotics stats of the same cloud.
+    block rather than W's nnz. Both passes run one pass plan, which the
+    first builds and keeps on the cloud (order, tile classes and trimmed
+    columns), so the second neither orders nor trims. Returns per-vertex
+    errors plus summary statistics and the degree-asymptotics stats of the
+    same cloud.
     pin_anchor replaces point 0 with the manifold's canonical anchor so
     across-seed spread can be measured at a fixed location.
     """

@@ -145,141 +145,148 @@ def _tile_order(points: np.ndarray) -> np.ndarray:
     return order
 
 
-def _cloud_order(cloud: PointCloud) -> np.ndarray:
-    """The cloud's _tile_order, computed once per cloud and tile side.
+@dataclass(frozen=True)
+class _PassPlan:
+    order: np.ndarray  # the pass's positions: its (u, v) is W[order[u], order[v]]
+    aug: np.ndarray  # [ys, -|ys|^2 / 2, 1] in that order
+    ln_tau: float
+    layout: list  # per tile row: (rows, [cols of each computed tile], [its masked flag])
 
-    _kernel_blocks takes the points in this order at tau > 0, and
-    kernel_matvec permutes g by it, so one pass reads one order and a sweep
-    cell's degree pass and W g pass share it. It is kept on the cloud with
-    the _TILE it was cut for, so a changed tile side orders anew.
+
+def _pass_plan(cloud: PointCloud, kernel: KernelConfig) -> _PassPlan:
+    """The layout of a kernel pass, built once per (cloud, eps, tau, _TILE).
+
+    It is kept on the cloud under that key, so a cell's degree pass and W g
+    pass share it, and a changed kernel or tile side plans anew. It holds
+    aug and the int32 near columns of the trimmed pairs. At tau = 0 no pair
+    can be skipped, so the sample order is kept rather than paid for, and
+    every tile pair is unmasked; at tau > 0 see _tile_order, _tile_classes.
     """
-    tile, order = cloud.__dict__.get("_order", (None, None))
-    if tile != _TILE:
-        tile, order = _TILE, _tile_order(cloud.points)
-        order.setflags(write=False)
-        object.__setattr__(cloud, "_order", (tile, order))
-    return order
+    key = (kernel.epsilon, kernel.truncation_tau, _TILE)
+    held, plan = cloud.__dict__.get("_plan", (None, None))
+    if held == key:
+        return plan
+    n, tau = cloud.n_points, kernel.truncation_tau
+    tiles = [slice(i0, min(i0 + _TILE, n)) for i0 in range(0, n, _TILE)]
+    if tau > 0.0:
+        order = _tile_order(cloud.points)
+        aug = _augmented(cloud.points, order, kernel.epsilon)
+        plan = _PassPlan(order, aug, np.log(tau), _tile_classes(aug, tiles, tau))
+    else:
+        order = np.arange(n)
+        layout = [(rows, tiles[bi:], [False] * (len(tiles) - bi)) for bi, rows in enumerate(tiles)]
+        plan = _PassPlan(order, _augmented(cloud.points, order, kernel.epsilon), -np.inf, layout)
+    order.setflags(write=False)
+    object.__setattr__(cloud, "_plan", (key, plan))
+    return plan
 
 
-def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig):
-    """Yield (rows, cols, block) for each computed tile on or above the diagonal of W.
+def _augmented(x, order, epsilon):
+    """aug = [ys, -h, 1] of the points x in the given order, centred once and scaled,
+    ys = (x - mean(x)) / sqrt(eps), and h = |ys|^2 / 2: ln W_uv = ys_u.ys_v - h_u - h_v.
+    """
+    aug = np.empty((len(x), x.shape[1] + 2))
+    ys = aug[:, :-2]  # a view of aug's first columns
+    np.subtract(x[order], x.mean(axis=0), out=ys)
+    ys /= np.sqrt(epsilon)
+    aug[:, -2] = -0.5 * np.einsum("ij,ij->i", ys, ys)
+    aug[:, -1] = 1.0
+    return aug
 
-    The points are taken in sample order at tau = 0 and in _cloud_order at
-    tau > 0; rows is a slice of at most _TILE positions in that order, cols
-    a slice or an index array of at most _TILE positions, and
-    W[order[rows], order[cols]] = block off the diagonal; a diagonal tile
-    comes with cols the same object as rows. The cloud is centred once,
-    y = x - mean(x), and scaled, ys = y / sqrt(eps), so that
-    ln W_uv = ys_u.ys_v - h_u - h_v with h_u = |ys_u|^2 / 2. One array
-    aug = [ys, -h, 1] is kept per pass, and aug[rows] with its last two
-    columns swapped, times aug[cols]^T, is ln W: each tile is one GEMM into
-    a reused buffer and an in-place exp. ln W <= 0, up to roundoff, cannot
-    overflow at any offset or eps.
 
-    At tau > 0 a weight is dropped where |ys_u - ys_v|^2 > r2 = -2 ln tau,
-    and each tile pair falls in one of three classes by the bounding boxes
-    of its two tiles in ys. Where the squared gap between the boxes exceeds
-    r2 plus a roundoff margin, the pair is skipped: every entry it would
-    hold is one the mask zeroes. Where the squared farthest distance
-    between the boxes is below r2 minus the margin, the pair is yielded
-    unmasked, a plain exp: the mask would keep every entry. Every other
-    pair is masked: the entries with ln W below ln tau are zeroed after the
-    exp. The margin, _ROUNDOFF times r2 plus the pair's largest |ys|^2,
-    bounds the GEMM's roundoff. Pairs skip only between compact tiles,
-    hence the order. Each such pass logs its tile classes at debug, with
-    the columns trimmed below.
+def _tile_classes(aug, tiles, tau):
+    """Per tile row, (rows, [cols], [masked]) of the tiles a pass at tau > 0 computes.
+
+    A weight is dropped where |ys_u - ys_v|^2 > r2 = -2 ln tau. Each tile
+    pair falls in one of three classes by its two tiles' bounding boxes in
+    ys. It is skipped where the squared gap between the boxes exceeds r2
+    plus a roundoff margin: the mask would zero its every entry. It is
+    unmasked, a plain exp, where their squared farthest distance is below
+    r2 minus the margin: the mask would keep every entry. Otherwise it is
+    masked: the entries with ln W below ln tau are zeroed after the exp.
+    The margin, _ROUNDOFF times r2 plus the pair's largest |ys|^2, bounds
+    the GEMM's roundoff. Pairs skip only between compact tiles, hence the
+    order. Each plan logs its tile classes and trimmed columns at debug.
 
     A masked pair off the diagonal is trimmed, not computed, when its
     column tile is full: a column whose squared gap to the row tile's box
     exceeds r2 plus the margin is dropped (the mask would zero its every
-    entry), and the positions of the others are gathered, over the row's
-    trimmed pairs in order, into masked tiles of up to _TILE columns. These
-    come after the row's other tiles, with cols an increasing index array.
-    The columns are tested in the full tiles of ys, so the ragged last
-    column tile is never trimmed.
-
-    A diagonal tile's own diagonal is 0: the self-weight W_uu = 1 is left to
-    the consumer. GEMM roundoff is not symmetric in u and v, so a diagonal
-    tile is not exactly symmetric. Every tile is written into one buffer,
-    which the next tile overwrites, so a pass needs O(N + _TILE^2) memory
-    at any N.
+    entry), and the others are gathered, over the row's trimmed pairs in
+    order, into masked tiles of up to _TILE columns, after the row's other
+    tiles, with cols an increasing index array. The columns are tested in
+    the full tiles of ys, so the ragged last column tile is never trimmed.
     """
-    n = cloud.n_points
-    tau = kernel.truncation_tau
-    x = cloud.points
-    starts = range(0, n, _TILE)
-    # aug = [ys, -|ys|^2 / 2, 1] in the pass's order, ys a view of its first columns
-    dim = cloud.ambient_dim
-    aug = np.empty((n, dim + 2))
-    ys = aug[:, :dim]
-    np.subtract(x[_cloud_order(cloud)] if tau > 0.0 else x, x.mean(axis=0), out=ys)
-    ys /= np.sqrt(kernel.epsilon)
-    aug[:, dim] = -0.5 * np.einsum("ij,ij->i", ys, ys)
-    aug[:, dim + 1] = 1.0
-    swap = [*range(dim), dim + 1, dim]
-    if tau > 0.0:
-        top = -2.0 * np.minimum.reduceat(aug[:, dim], starts)  # largest |ys|^2 of each tile
-        ln_tau = np.log(tau)
-        r2 = -2.0 * ln_tau
-        lo, hi = np.minimum.reduceat(ys, starts), np.maximum.reduceat(ys, starts)
-        sizes = np.diff([*starts, n])
-        whole = sizes == _TILE  # the column tiles a masked pair may trim
-        ys3 = ys[: n // _TILE * _TILE].reshape(-1, _TILE, dim)  # the full tiles
-        skipped = masked = dropped = kept_cols = trimmed_cols = chunks = 0
-    tile = np.empty(_TILE * _TILE)
-    keep = np.empty(_TILE * _TILE, dtype=bool)
-    for bi, i0 in enumerate(starts):
-        rows = slice(i0, min(i0 + _TILE, n))
-        nr = rows.stop - i0
+    n, ys, starts = len(aug), aug[:, :-2], range(0, len(aug), _TILE)
+    top = -2.0 * np.minimum.reduceat(aug[:, -2], starts)  # largest |ys|^2 of each tile
+    r2 = -2.0 * np.log(tau)
+    lo, hi = np.minimum.reduceat(ys, starts), np.maximum.reduceat(ys, starts)
+    sizes = np.diff([*starts, n])
+    whole = sizes == _TILE  # the column tiles a masked pair may trim
+    ys3 = ys[: n // _TILE * _TILE].reshape(-1, _TILE, ys.shape[1])  # the full tiles
+    skipped = masked = dropped = kept_cols = trimmed_cols = chunks = 0
+    layout = []
+    for bi, rows in enumerate(tiles):
+        # classes of the pairs (bi, bj) for bj >= bi, from the tiles' boxes
+        gap = np.maximum(lo[bi:] - hi[bi], lo[bi] - hi[bi:]).clip(min=0.0)
+        far = np.maximum(hi[bi:] - lo[bi], hi[bi] - lo[bi:])
+        margin = _ROUNDOFF * (r2 + np.maximum(top[bi:], top[bi]))
+        skip = np.einsum("ij,ij->i", gap, gap) > r2 + margin
+        mask = ~skip & (np.einsum("ij,ij->i", far, far) >= r2 - margin)
+        skipped += int(skip.sum())
+        masked += int(mask.sum())
+        dropped += 2 * sizes[bi] * int(sizes[bi:][skip].sum())
+        trim = mask & whole[bi:]
+        trim[0] = False  # the diagonal tile is never trimmed
+        near = _near_columns(ys3, bi + np.flatnonzero(trim), lo[bi], hi[bi], r2 + margin[trim])
+        kept_cols += len(near)
+        trimmed_cols += int(trim.sum()) * _TILE - len(near)
+        computed = np.flatnonzero(~(skip | trim))  # the diagonal tile comes first
+        gathered = [near[c0 : c0 + _TILE] for c0 in range(0, len(near), _TILE)]
+        chunks += len(gathered)
+        cols = [tiles[bi + k] for k in computed] + gathered
+        layout.append((rows, cols, mask[computed].tolist() + [True] * len(gathered)))
+    unmasked = len(tiles) * (len(tiles) + 1) // 2 - skipped - masked
+    log.debug(
+        "kernel pass: N=%d, tile pairs skipped=%d unmasked=%d masked=%d, "
+        "dropped mass of skipped pairs < tau x %d entries = %.3g, "
+        "trimmed columns kept=%d dropped=%d in %d gathered chunks",
+        n, skipped, unmasked, masked, dropped, tau * dropped, kept_cols, trimmed_cols, chunks,
+    )
+    return layout
+
+
+def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig):
+    """Yield (rows, cols, block) for each tile of the cloud's _pass_plan.
+
+    rows is a slice of at most _TILE positions in the plan's order, cols a
+    slice or an increasing index array of at most _TILE positions, and
+    W[order[rows], order[cols]] = block off the diagonal; a diagonal tile
+    comes with cols the same object as rows, and with its diagonal 0: the
+    self-weight W_uu = 1 is left to the consumer. aug[rows] with its last
+    two columns swapped, times aug[cols]^T, is ln W: a tile is one GEMM
+    into a reused buffer, then an in-place exp, zeroing the entries below
+    ln tau if masked. ln W <= 0, up to roundoff, cannot overflow at any
+    offset or eps. GEMM roundoff is not symmetric in u and v, so a diagonal
+    tile is not exactly symmetric. The next tile overwrites the buffer, so
+    a pass needs O(N + _TILE^2) memory at any N.
+    """
+    plan = _pass_plan(cloud, kernel)
+    aug, ln_tau = plan.aug, plan.ln_tau
+    swap = [*range(aug.shape[1] - 2), -1, -2]
+    tile, keep = np.empty(_TILE * _TILE), np.empty(_TILE * _TILE, dtype=bool)
+    for rows, row_cols, masks in plan.layout:
         lhs = aug[rows, swap]
-        if tau > 0.0:
-            # classes of the pairs (bi, bj) for bj >= bi, from the tiles' boxes
-            gap = np.maximum(lo[bi:] - hi[bi], lo[bi] - hi[bi:]).clip(min=0.0)
-            far = np.maximum(hi[bi:] - lo[bi], hi[bi] - lo[bi:])
-            margin = _ROUNDOFF * (r2 + np.maximum(top[bi:], top[bi]))
-            skip = np.einsum("ij,ij->i", gap, gap) > r2 + margin
-            mask = ~skip & (np.einsum("ij,ij->i", far, far) >= r2 - margin)
-            skipped += int(skip.sum())
-            masked += int(mask.sum())
-            dropped += 2 * nr * int(sizes[bi:][skip].sum())
-            trim = mask & whole[bi:]
-            trim[0] = False  # the diagonal tile is never trimmed
-            near = _near_columns(ys3, bi + np.flatnonzero(trim), lo[bi], hi[bi], r2 + margin[trim])
-            kept_cols += len(near)
-            trimmed_cols += int(trim.sum()) * _TILE - len(near)
-            done = skip | trim  # the pairs not computed as tiles below
-        for bj, j0 in enumerate(starts[bi:], start=bi):
-            if tau > 0.0 and done[bj - bi]:
-                continue
-            cols = slice(j0, min(j0 + _TILE, n)) if bj > bi else rows
-            nc = cols.stop - j0
-            block = tile[: nr * nc].reshape(nr, nc)
-            np.matmul(lhs, aug[cols].T, out=block)
-            if tau > 0.0 and mask[bj - bi]:
+        for cols, masked in zip(row_cols, masks):
+            rhs = aug[cols].T
+            block = tile[: len(lhs) * rhs.shape[1]].reshape(len(lhs), -1)
+            np.matmul(lhs, rhs, out=block)
+            if masked:
                 _threshold_exp(block, ln_tau, keep)
             else:
                 np.exp(block, out=block)
-            if bj == bi:
+            if cols is rows:
                 np.fill_diagonal(block, 0.0)
             yield rows, cols, block
-        if tau > 0.0 and len(near):
-            # the kept columns, gathered into masked tiles of up to _TILE columns
-            for c0 in range(0, len(near), _TILE):
-                cols = near[c0 : c0 + _TILE]
-                block = tile[: nr * len(cols)].reshape(nr, len(cols))
-                np.matmul(lhs, aug[cols].T, out=block)
-                _threshold_exp(block, ln_tau, keep)
-                chunks += 1
-                yield rows, cols, block
-    if tau > 0.0:
-        unmasked = len(starts) * (len(starts) + 1) // 2 - skipped - masked
-        log.debug(
-            "kernel pass: N=%d, tile pairs skipped=%d unmasked=%d masked=%d, "
-            "dropped mass of skipped pairs < tau x %d entries = %.3g, "
-            "trimmed columns kept=%d dropped=%d in %d gathered chunks",
-            n, skipped, unmasked, masked, dropped, tau * dropped,
-            kept_cols, trimmed_cols, chunks,
-        )
 
 
 def _near_columns(ys3, tiles, lo, hi, limits):
@@ -289,7 +296,7 @@ def _near_columns(ys3, tiles, lo, hi, limits):
     ys3 holds the full tiles of ys as (tiles, _TILE, dim); the columns are
     tested _TRIM_TILES tiles at a time, so the temporaries stay below a tile.
     """
-    near = [np.empty(0, dtype=np.intp)]
+    near = [np.empty(0, dtype=np.int32)]
     for t0 in range(0, len(tiles), _TRIM_TILES):
         some = tiles[t0 : t0 + _TRIM_TILES]
         y = ys3[some]
@@ -299,7 +306,7 @@ def _near_columns(ys3, tiles, lo, hi, limits):
         reach = np.einsum("ijk,ijk->ij", gap, gap) <= limits[t0 : t0 + _TRIM_TILES, None]
         pair, col = np.nonzero(reach)
         near.append(some[pair] * _TILE + col)
-    return np.concatenate(near)
+    return np.concatenate(near, dtype=np.int32)  # a cloud of 2^31 points would not fit
 
 
 def _threshold_exp(block, ln_tau, keep):
@@ -316,7 +323,7 @@ def build_weights(cloud: PointCloud, kernel: KernelConfig) -> np.ndarray:
     Returns the N x N float64 ndarray; a truncated W (tau > 0) holds its
     dropped weights as exact zeros. Refused above DENSE_LIMIT points.
 
-    The kernel tiles come from the tau = 0 pass of the block loop shared
+    The kernel tiles come from the tau = 0 pass of the tile loop shared
     with kernel_matvec, in sample order, as exp(ln W) on the centred cloud.
     At tau > 0 each tile then has its weights below tau zeroed, so a stored
     weight is the tau = 0 weight, bit for bit, or +0.0. Each unordered tile
@@ -366,32 +373,25 @@ def kernel_matvec(cloud: PointCloud, kernel: KernelConfig, g) -> np.ndarray:
     """The product W @ g computed straight from the cloud, never materializing W.
 
     The same weights as build_weights, but memory stays at one tile instead
-    of W's nnz. Each tile is exp(ln W), with its weights below tau zeroed at
-    tau > 0, and adds block @ g[cols] to out[rows] and, off the diagonal,
-    g[rows] @ block to out[cols].
-    The self-weight W_uu = 1 adds g exactly. At tau > 0 the tiles come in
-    _cloud_order, so far tile pairs are skipped and masked ones trimmed: g
-    is permuted in and the result permuted back, and a gathered tile reads
-    g[cols] and adds into out[cols] (its positions are unique). At tau = 0
-    no pair can be skipped, and the pass keeps the sample order rather than
-    pay for ordering. The ordered tiles at tau > 0, and a diagonal tile's
-    full square at every tau, round apart from build_weights' own, so the
-    result can differ from build_weights(...) @ g at ~1e-15 relative, as
-    degrees_from_cloud does from degrees, and a weight within roundoff of
-    tau may be kept by one and dropped by the other.
+    of W's nnz. g is permuted into the order of the cloud's _pass_plan and
+    the result back. Each tile, exp(ln W) with its weights below tau zeroed
+    at tau > 0, adds block @ g[cols] to out[rows] and, off the diagonal,
+    g[rows] @ block to out[cols] (a gathered tile's positions are unique).
+    The self-weight W_uu = 1 adds g exactly. The ordered tiles at tau > 0,
+    and a diagonal tile's full square at every tau, round apart from
+    build_weights' own, so the result can differ from build_weights(...) @ g
+    at ~1e-15 relative, as degrees_from_cloud does from degrees, and a
+    weight within roundoff of tau may be kept by one and dropped by the other.
     """
-    g = _check_vertex_function(g, cloud.n_points)
-    order = _cloud_order(cloud) if kernel.truncation_tau > 0.0 else None
-    if order is not None:
-        g = g[order]
+    order = _pass_plan(cloud, kernel).order
+    g = _check_vertex_function(g, cloud.n_points)[order]
     out = g.copy()
     for rows, cols, block in _kernel_blocks(cloud, kernel):
         out[rows] += block @ g[cols]
         if cols is not rows:
             # W is symmetric: the block's transpose is the mirrored block
             out[cols] += g[rows] @ block
-    if order is not None:
-        out[order] = out.copy()
+    out[order] = out.copy()
     return out
 
 

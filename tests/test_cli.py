@@ -308,6 +308,21 @@ class TestRun:
         digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
         assert digest == "46ad8b67a462f723e603120ad353bff46eee83a15486e9b06fb177a7fe673c43"
 
+    def test_sparse_results_are_pinned(self, tmp_path):
+        # Sparse cells take ordered ln W tiles whose pairs are skipped,
+        # unmasked or masked, with trimmed columns gathered into chunks; a
+        # new layout of the same tiles must not move results.csv by one byte
+        # (numpy 2.4, OpenBLAS 0.3.31 on x86-64).
+        import hashlib
+
+        path = write_spec(
+            tmp_path, N_list=[1500, 8000], epsilon_list=[0.005, 0.01], mode="sparse", tau=1e-8
+        )
+        out = tmp_path / "pinned"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
+        assert digest == "6f0b75f7cd45d12c93b436e4726275c05b0f79bb5bbbde312db754980e58fb10"
+
     def test_summary_hash_matches_file(self, spec_file, tmp_path):
         import hashlib
 
@@ -367,6 +382,26 @@ class TestDegreeCheckCommand:
         code = main(["degree-check", "--manifold", "circle", "--n", "10", "--epsilon", "-1"])
         assert code == 1
         assert "epsilon must be a positive real, got -1.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (MemoryError("Unable to allocate 21.8 TiB for an array"), "Unable to allocate 21.8 TiB for an array"),
+            (MemoryError(), "MemoryError"),
+        ],
+    )
+    def test_out_of_memory_exit_2(self, capsys, monkeypatch, exc, message):
+        # A cloud too large to allocate ends as a sweep cell's "resource"
+        # failure does; the sampler raises here without asking for memory.
+        def starved(manifold, n, seed):
+            raise exc
+
+        monkeypatch.setattr(conv, "sample", starved)
+        argv = ["degree-check", "--manifold", "sphere", "--n", "1000000000000", "--epsilon", "0.05"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: out of memory: {message}\n"
+        assert captured.out == ""
 
 
 class TestOperatorCommands:

@@ -31,6 +31,7 @@ from graph_calculus import (
     sample,
 )
 from graph_calculus import graph_core, verification
+from graph_calculus.convergence import lemma_check
 
 
 def random_cloud(n, dim, seed):
@@ -388,7 +389,7 @@ class TestFactorizedKernel:
         if tau > 0.0:
             # the ordered tiles hold circle points or cluster points, and the
             # pairs of a circle tile with a cluster tile are skipped
-            order = graph_core._cloud_order(cloud)
+            order = graph_core._pass_plan(cloud, kernel).order
             for rows, cols, _ in graph_core._kernel_blocks(cloud, kernel):
                 on_circle = np.r_[order[rows], order[cols]] < 64
                 assert on_circle.all() or not on_circle.any()
@@ -501,8 +502,9 @@ class TestTileClasses:
         expected, band = truncated_pairwise_weights(pts, eps, tau)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graph_core, "_TILE", tile)
-            order = graph_core._cloud_order(cloud)
-            for rows, cols, block in graph_core._kernel_blocks(cloud, KernelConfig(eps, tau)):
+            kernel = KernelConfig(eps, tau)
+            order = graph_core._pass_plan(cloud, kernel).order
+            for rows, cols, block in graph_core._kernel_blocks(cloud, kernel):
                 pair = np.ix_(order[rows], order[cols])
                 want, either, weight = expected[pair], band[pair], ref[pair]
                 if cols is rows:
@@ -544,15 +546,16 @@ class TestTileClasses:
         np.testing.assert_allclose(kernel_matvec(cloud, kernel, g), expected @ g, rtol=1e-13, atol=0.0)
 
     def test_ordered_tiles_take_every_class(self, split_blocks, caplog):
-        # One debug line per pass at tau > 0 gives N, the tile pairs of each
-        # class and the trimmed columns; at tau = 0 nothing is skipped or
-        # masked, and no line.
+        # One debug line per plan at tau > 0 gives N, the tile pairs of each
+        # class and the trimmed columns, and a second pass on the plan adds
+        # none; at tau = 0 nothing is skipped or masked, and no line.
         cloud = sample("circle", 300, 4)
         split_blocks(300, 16)
         caplog.set_level(logging.DEBUG, logger="graph_calculus.graph_core")
         kernel_matvec(cloud, KernelConfig(epsilon=0.01), np.ones(300))
         assert caplog.records == []
         degrees_from_cloud(cloud, KernelConfig(epsilon=0.01, truncation_tau=1e-8))
+        kernel_matvec(cloud, KernelConfig(epsilon=0.01, truncation_tau=1e-8), np.ones(300))
         (record,) = caplog.records
         assert record.name == "graph_calculus.graph_core"
         found = re.fullmatch(
@@ -584,7 +587,7 @@ class TestTileClasses:
         pts = sample(case, 300, 4).points
         monkeypatch.setattr(graph_core, "_TILE", 16)
         cloud, kernel = PointCloud(points=pts), KernelConfig(epsilon=0.01, truncation_tau=tau)
-        order = graph_core._cloud_order(cloud)
+        order = graph_core._pass_plan(cloud, kernel).order
         ref = pairwise_weights(pts[order], 0.01)
         covered = np.zeros((300, 300), dtype=bool)  # in tile order
         spans = []
@@ -631,12 +634,17 @@ class TestTileClasses:
         g = np.random.default_rng(23).uniform(0.5, 1.5, 1333)
         np.testing.assert_allclose(kernel_matvec(cloud, kernel, g), trunc @ g, rtol=1e-13, atol=0.0)
 
-    def test_order_is_computed_once_per_cloud(self, monkeypatch):
-        # The degree pass and the W g pass of a cell share one order; a
-        # changed tile side orders anew.
-        calls = []
-        real = graph_core._tile_order
+    def test_plan_is_built_once_per_cloud_and_kernel(self, monkeypatch):
+        # The degree pass and the W g pass of a cell share one plan: one
+        # order, and one column trim per tile row; a changed tile side or
+        # tau plans anew.
+        calls, trims = [], []
+        real, real_near = graph_core._tile_order, graph_core._near_columns
         monkeypatch.setattr(graph_core, "_tile_order", lambda pts: calls.append(1) or real(pts))
+        monkeypatch.setattr(graph_core, "_near_columns", lambda *a: trims.append(1) or real_near(*a))
+        lemma_check("sphere", "coord_z", 2000, 0.01, mode="sparse", tau=1e-8)
+        assert (len(calls), len(trims)) == (1, 9)  # 2000 = 8 x 224 + 208
+        calls.clear()
         cloud, kernel = sample("sphere", 500, 2), KernelConfig(epsilon=0.01, truncation_tau=1e-8)
         d = degrees_from_cloud(cloud, kernel)
         laplacian_from_cloud(cloud, kernel, np.ones(500), d)
@@ -644,6 +652,8 @@ class TestTileClasses:
         monkeypatch.setattr(graph_core, "_TILE", 64)
         np.testing.assert_allclose(degrees_from_cloud(cloud, kernel), d, rtol=1e-13, atol=0.0)
         assert len(calls) == 2
+        degrees_from_cloud(cloud, KernelConfig(epsilon=0.01, truncation_tau=1e-4))
+        assert len(calls) == 3
 
 
 # The three kernel passes, each as f(cloud, kernel).
