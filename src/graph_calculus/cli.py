@@ -3,9 +3,12 @@
 Thin shell over the library: every number it emits comes from graph_core,
 calculus, manifolds, convergence, or verification. Exit codes: 0 success,
 1 configuration/usage errors, 2 when sweep cells failed (numerically, or
-for want of memory; summary.json names the kind of each failure) or when
-degree-check ran out of memory.
-Logging level comes from GRAPH_CALCULUS_LOG (quiet|info|debug).
+for want of memory; summary.json names the kind of each failure). For any
+command, bad input or a file that cannot be read or written exits 1 with
+"error: ...", and running out of memory exits 2 with "error: out of
+memory: ...".
+Logging level comes from GRAPH_CALCULUS_LOG (quiet|info|debug); at debug a
+failed command also logs its traceback.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import json
 import logging
 import os
 import resource
+import secrets
 import sys
 from pathlib import Path
 
@@ -162,31 +166,36 @@ def _build_parser() -> _Parser:
 # run
 
 
+def _prepare_out_dir(out) -> Path:
+    """Create the output directory and check that a file can be made in it.
+
+    The probe file takes a fresh random name, as write_text_atomic's temp
+    files do, so no file of the user's is truncated or removed.
+    """
+    out_dir = Path(out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        probe = out_dir / f".write_probe.{secrets.token_hex(8)}"
+        os.close(os.open(probe, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        os.unlink(probe)
+    except OSError as exc:
+        raise OSError(f"output directory not writable: {out_dir} ({exc})") from exc
+    return out_dir
+
+
 def _cmd_run(args) -> int:
     if args.parallelism < 1:
-        print(f"error: --parallelism must be >= 1, got {args.parallelism}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError(f"--parallelism must be >= 1, got {args.parallelism}")
     config = Path(args.config)
     if not config.is_file():
-        print(f"error: config file not found: {config}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError(f"config file not found: {config}")
     try:
         spec = ExperimentSpec.from_json(config)
         spec = spec.with_overrides(master_seed=args.seed, mode=args.mode, tau=args.tau)
     except ValueError as exc:
-        print(f"error: invalid experiment spec: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError(f"invalid experiment spec: {exc}") from exc
 
-    out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        probe = out_dir / ".write_probe"
-        probe.write_text("")
-        probe.unlink()
-    except OSError as exc:
-        print(f"error: output directory not writable: {out_dir} ({exc})", file=sys.stderr)
-        return EXIT_CONFIG
-
+    out_dir = _prepare_out_dir(args.out)
     result = sweep(spec, parallelism=args.parallelism)
     csv_text = results_csv_text(result.rows, include_timings=args.timings)
     write_text_atomic(out_dir / "results.csv", csv_text)
@@ -240,11 +249,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        reports = run_invariant_suite(n=args.n, n_seeds=args.seeds)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    reports = run_invariant_suite(n=args.n, n_seeds=args.seeds)
     all_ok = True
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
@@ -257,21 +262,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_degree_check(args) -> int:
-    try:
-        res = degree_check(
-            args.manifold,
-            args.n,
-            args.epsilon,
-            seed=args.seed,
-            sampling=args.sampling,
-            tau=args.tau,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MemoryError as exc:  # as a sweep cell's "resource" failure
-        print(f"error: out of memory: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return EXIT_CELL_FAILURES
+    res = degree_check(
+        args.manifold,
+        args.n,
+        args.epsilon,
+        seed=args.seed,
+        sampling=args.sampling,
+        tau=args.tau,
+    )
     payload = {
         "manifold": res.manifold,
         "N": res.n,
@@ -296,34 +294,26 @@ def _cmd_degree_check(args) -> int:
 
 
 def _cmd_operator(args) -> int:
-    if args.command == "laplacian" and not args.matrix and args.function is None:
-        print(
-            "error: laplacian needs --function (or --matrix for the matrix export)",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-    try:
-        cloud = PointCloud.from_csv(args.cloud)
-        kernel = KernelConfig(epsilon=args.epsilon, truncation_tau=args.tau)
-        if args.command == "laplacian" and not args.matrix:
-            # a vector output needs only the degree pass and one W g pass
-            f = read_vector_csv(args.function)
-            d = degrees_from_cloud(cloud, kernel)
-            write_vector_csv(args.out, laplacian_from_cloud(cloud, kernel, f, d))
-            return EXIT_OK
-        w = build_weights(cloud, kernel)
-        d = degrees(w)
-        if args.command == "grad":
-            f = read_vector_csv(args.function)
-            write_matrix_csv(args.out, gradient(f, w, d))
-        elif args.command == "div":
-            field = read_matrix_csv(args.field)
-            write_vector_csv(args.out, divergence(field, w, d))
-        else:
-            write_matrix_csv(args.out, laplacian_matrix(w, d))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    if args.command == "laplacian" and args.matrix == (args.function is not None):
+        raise ValueError("laplacian needs exactly one of --function or --matrix")
+    cloud = PointCloud.from_csv(args.cloud)
+    kernel = KernelConfig(epsilon=args.epsilon, truncation_tau=args.tau)
+    if args.command == "laplacian" and not args.matrix:
+        # a vector output needs only the degree pass and one W g pass
+        f = read_vector_csv(args.function)
+        d = degrees_from_cloud(cloud, kernel)
+        write_vector_csv(args.out, laplacian_from_cloud(cloud, kernel, f, d))
+        return EXIT_OK
+    w = build_weights(cloud, kernel)
+    d = degrees(w)
+    if args.command == "grad":
+        f = read_vector_csv(args.function)
+        write_matrix_csv(args.out, gradient(f, w, d))
+    elif args.command == "div":
+        field = read_matrix_csv(args.field)
+        write_vector_csv(args.out, divergence(field, w, d))
+    else:
+        write_matrix_csv(args.out, laplacian_matrix(w, d))
     return EXIT_OK
 
 
@@ -339,11 +329,7 @@ def _cmd_list_manifolds(_args) -> int:
 def _cmd_list_functions(args) -> int:
     payload = registry_payload()
     if args.manifold is not None:
-        try:
-            get_manifold(args.manifold)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+        get_manifold(args.manifold)
         payload = [m for m in payload if m["id"] == args.manifold]
     print(json.dumps([{"manifold": m["id"], "functions": m["functions"]} for m in payload], indent=2))
     return EXIT_OK
@@ -360,32 +346,17 @@ def _group_value(text: str):
 
 
 def _cmd_plot_data(args) -> int:
-    results = Path(args.results)
-    if not results.is_file():
-        print(f"error: results file not found: {results}", file=sys.stderr)
-        return EXIT_CONFIG
-    rows = read_results_csv(results)
+    rows = read_results_csv(args.results)
     if not rows:
-        print("error: results CSV has no data rows", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError("results CSV has no data rows")
     columns = list(rows[0])
     for col in (args.x_axis, args.y_column, args.group_by):
         if col not in columns:
-            print(
-                f"error: unknown column {col!r}; available: {', '.join(columns)}",
-                file=sys.stderr,
-            )
-            return EXIT_CONFIG
+            raise ValueError(f"unknown column {col!r}; available: {', '.join(columns)}")
     for col in (args.x_axis, args.y_column):
         if any(isinstance(_group_value(row[col]), str) for row in rows):
-            print(f"error: column {col!r} is not numeric", file=sys.stderr)
-            return EXIT_CONFIG
-    out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: output directory not writable: {out_dir} ({exc})", file=sys.stderr)
-        return EXIT_CONFIG
+            raise ValueError(f"column {col!r} is not numeric")
+    out_dir = _prepare_out_dir(args.out)
 
     groups: dict = {}
     for row in rows:
@@ -403,7 +374,7 @@ def _cmd_plot_data(args) -> int:
         xs = np.array([float(r[args.x_axis]) for r in grp])
         ys = np.array([float(r[args.y_column]) for r in grp])
         try:
-            fit = fit_rate_xy(xs, ys, axis=args.x_axis)
+            fit = fit_rate_xy(xs, ys)
             summary_lines.append(
                 f"{args.group_by}={gval}: slope={format_float(fit.slope)} "
                 f"intercept={format_float(fit.intercept)} r_squared={format_float(fit.r_squared)}"
@@ -418,7 +389,16 @@ def _cmd_plot_data(args) -> int:
 def main(argv=None) -> int:
     _configure_logging()
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        log.debug("%s failed", args.command, exc_info=True)
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # as a sweep cell's "resource" failure
+        log.debug("%s failed", args.command, exc_info=True)
+        print(f"error: out of memory: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return EXIT_CELL_FAILURES
 
 
 if __name__ == "__main__":

@@ -481,7 +481,6 @@ class CellFailure:
 
 @dataclass(frozen=True)
 class SweepResult:
-    spec: ExperimentSpec
     rows: tuple
     failures: tuple
     pool_width: int  # threads the cells ran on
@@ -577,7 +576,7 @@ def sweep(spec: ExperimentSpec, parallelism: int = 1) -> SweepResult:
             outcomes = list(pool.map(lambda c: _run_cell(spec, *c), cells))
     rows = tuple(o for o in outcomes if isinstance(o, CellResult))
     failures = tuple(o for o in outcomes if isinstance(o, CellFailure))
-    return SweepResult(spec=spec, rows=rows, failures=failures, pool_width=width)
+    return SweepResult(rows=rows, failures=failures, pool_width=width)
 
 
 # ----------------------------------------------------------------------
@@ -589,10 +588,9 @@ class RateFit:
     slope: float
     intercept: float
     r_squared: float
-    axis: str
 
 
-def fit_rate_xy(x: Sequence[float], y: Sequence[float], axis: str = "x") -> RateFit:
+def fit_rate_xy(x: Sequence[float], y: Sequence[float]) -> RateFit:
     """OLS of log(y) against log(x); needs >= 3 distinct x and positive y."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -614,12 +612,7 @@ def fit_rate_xy(x: Sequence[float], y: Sequence[float], axis: str = "x") -> Rate
         r = np.nan if ssxym == 0.0 else 0.0
     else:
         r = min(1.0, max(-1.0, ssxym / np.sqrt(ssxm * ssym)))
-    return RateFit(
-        slope=float(slope),
-        intercept=float(intercept),
-        r_squared=float(r**2),
-        axis=axis,
-    )
+    return RateFit(slope=float(slope), intercept=float(intercept), r_squared=float(r**2))
 
 
 _AXIS_GETTERS = {
@@ -644,7 +637,7 @@ def sweep_rate_fits(rows: Sequence[CellResult], interior_statistic: str) -> list
                 xs = [x(r) for r in cells]
                 ys = [getattr(r, response) for r in cells]
                 try:
-                    fit = fit_rate_xy(xs, ys, axis=swept)
+                    fit = fit_rate_xy(xs, ys)
                 except ValueError:
                     continue
                 fits.append(

@@ -79,12 +79,25 @@ def results_csv_text(rows, include_timings: bool = False) -> str:
 
 
 def read_results_csv(path) -> list[dict]:
-    """Result table as a list of row dicts, values kept as strings."""
+    """Result table as a list of row dicts, values kept as strings.
+
+    Blank lines are skipped; a row with more or fewer fields than the header
+    raises ValueError naming its line.
+    """
     import csv
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [dict(row) for row in reader]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = []
+        for fields in filter(None, reader):
+            if len(fields) != len(header):
+                raise ValueError(
+                    f"{path}: line {reader.line_num} has {len(fields)} field(s) "
+                    f"where the header has {len(header)}"
+                )
+            rows.append(dict(zip(header, fields)))
+    return rows
 
 
 def write_vector_csv(path, values) -> None:

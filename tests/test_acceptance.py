@@ -227,7 +227,7 @@ def stochastic_study():
 
 def test_criterion_4_across_seed_spread_slope(stochastic_study):
     spreads = stochastic_study["spreads"]
-    fit = fit_rate_xy(np.array(CRIT4_NS, dtype=float), spreads, axis="N")
+    fit = fit_rate_xy(np.array(CRIT4_NS, dtype=float), spreads)
     report(
         "4a",
         f"anchor spread {np.round(spreads, 3).tolist()} over N={list(CRIT4_NS)}, "

@@ -1,4 +1,6 @@
+import errno
 import json
+import logging
 import os
 import stat
 import subprocess
@@ -20,7 +22,9 @@ from graph_calculus import (
     laplacian_from_cloud,
     laplacian_matrix,
 )
+import graph_calculus.cli as cli
 import graph_calculus.convergence as conv
+import graph_calculus.graph_core as graph_core
 from graph_calculus.cli import main
 from graph_calculus.convergence import fit_rate_xy
 from graph_calculus.csvio import (
@@ -212,6 +216,14 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["spec"]["mode"] == "sparse"
         assert summary["spec"]["tau"] > 0
+
+    def test_users_write_probe_file_survives(self, spec_file, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / ".write_probe").write_text("keep me")
+        assert main(["run", "--config", str(spec_file), "--out", str(out)]) == 0
+        assert (out / ".write_probe").read_text() == "keep me"
+        assert sorted(p.name for p in out.iterdir()) == [".write_probe", "results.csv", "summary.json"]
 
     def test_no_leftover_temp_files(self, spec_file, tmp_path):
         out = tmp_path / "clean"
@@ -482,6 +494,18 @@ class TestOperatorCommands:
         assert code == 1
         assert "--function" in capsys.readouterr().err
 
+    def test_laplacian_refuses_function_and_matrix_together(self, graph_inputs, tmp_path, capsys):
+        cloud_csv, f_csv, _, _, _ = graph_inputs
+        out = tmp_path / "x.csv"
+        code = main(
+            ["laplacian", "--cloud", str(cloud_csv), "--epsilon", "1.0",
+             "--function", str(f_csv), "--matrix", "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: laplacian needs exactly one of --function or --matrix\n"
+        assert not out.exists()
+
     def test_stored_weight_limit_applies_at_any_tau(self, big_cloud, tmp_path, capsys):
         cloud_csv, f_csv = big_cloud
         # every command whose output is N x N or is built from an N x N input
@@ -593,7 +617,7 @@ class TestPlotData:
             assert grp
             xs = [float(r[n_idx]) for r in grp]
             ys = [float(r[y_idx]) for r in grp]
-            fit = fit_rate_xy(np.array(xs), np.array(ys), axis="N")
+            fit = fit_rate_xy(np.array(xs), np.array(ys))
             assert f"slope={format_float(fit.slope)}" in line
 
     def test_group_labels_are_shortest_numbers_in_value_order(self, tmp_path):
@@ -654,6 +678,92 @@ class TestPlotData:
         assert code == 1
         assert capsys.readouterr().err == f"error: column {text!r} is not numeric\n"
         assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "bad_row, count", [("40", 1), ("40,0.1,0.5,7", 4)], ids=["missing", "extra"]
+    )
+    def test_ragged_row_exits_1_naming_its_line(self, tmp_path, capsys, bad_row, count):
+        results = tmp_path / "results.csv"
+        results.write_text(f"N,epsilon,err_rel_median\n40,0.05,0.5\n{bad_row}\n80,0.1,0.3\n")
+        out = tmp_path / "p"
+        code = main(
+            ["plot-data", "--results", str(results), "--x", "N", "--y", "err_rel_median",
+             "--group-by", "epsilon", "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {results}: line 3 has {count} field(s) where the header has 3\n"
+        assert not out.exists()
+
+
+class TestExitPath:
+    """main maps any command's ValueError or OSError to exit 1, MemoryError to exit 2."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        write_spec(tmp_path, N_list=[40], epsilon_list=[0.1], trials=1)
+        (tmp_path / "cloud.csv").write_text(CLOUD_ROWS)
+        write_vector_csv(tmp_path / "f.csv", [0.5, -1.0, 2.0])
+        write_matrix_csv(tmp_path / "field.csv", np.ones((3, 3)))
+        (tmp_path / "results.csv").write_text(
+            "N,epsilon,err_rel_median\n40,0.1,0.5\n80,0.1,0.3\n160,0.1,0.2\n"
+        )
+        return tmp_path
+
+    OPERATOR = ["--cloud", "{dir}/cloud.csv", "--epsilon", "1.0", "--out", "{dir}/out/x.csv"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["grad", *OPERATOR, "--function", "{dir}/f.csv"],
+            ["div", *OPERATOR, "--field", "{dir}/field.csv"],
+            ["laplacian", *OPERATOR, "--matrix"],
+            ["laplacian", *OPERATOR, "--function", "{dir}/f.csv"],
+            ["verify", "--n", "10", "--seeds", "1"],
+        ],
+        ids=["grad", "div", "laplacian-matrix", "laplacian-function", "verify"],
+    )
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (MemoryError("Unable to allocate 8.00 TiB for an array"), "Unable to allocate 8.00 TiB for an array"),
+            (MemoryError(), "MemoryError"),
+        ],
+        ids=["message", "empty"],
+    )
+    def test_out_of_memory_exit_2(self, inputs, monkeypatch, capsys, caplog, argv, exc, message):
+        # Every kernel pass plans first, and the plan allocates the augmented cloud.
+        def starved(*args):
+            raise exc
+
+        monkeypatch.setattr(graph_core, "_augmented", starved)
+        caplog.set_level(logging.DEBUG, logger="graph_calculus.cli")
+        assert main([a.format(dir=inputs) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: out of memory: {message}\n"
+        assert captured.out == ""
+        assert not (inputs / "out").exists()
+        traced = [r.exc_info[1] for r in caplog.records if r.name == cli.log.name and r.exc_info]
+        assert traced == [exc]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--config", "{dir}/spec.json", "--out", "{dir}/out"],
+            ["plot-data", "--results", "{dir}/results.csv", "--x", "N", "--y", "err_rel_median",
+             "--group-by", "epsilon", "--out", "{dir}/out"],
+        ],
+        ids=["run", "plot-data"],
+    )
+    def test_unwritable_output_exit_1(self, inputs, monkeypatch, capsys, argv):
+        def full(path, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_text_atomic", full)
+        assert main([a.format(dir=inputs) for a in argv]) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert list((inputs / "out").iterdir()) == []
 
 
 class TestArgumentHandling:
