@@ -29,7 +29,8 @@ DENSE_LIMIT = 4096
 # Products this small stay under BLAS's own threading thresholds, so a pass
 # runs on its calling thread, unless the cloud has a high ambient dimension
 # (OpenBLAS 0.3.31 on 2 cores threads a pass, whose left operands are
-# column-major copies, from about 18 dimensions, at every tau).
+# column-major copies and right operands row-major, from about 18
+# dimensions, at every tau).
 _TILE = 224
 
 # Relative roundoff margin of the tile-pair classes at tau > 0: a pair is
@@ -148,9 +149,11 @@ def _tile_order(points: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _PassPlan:
     order: np.ndarray  # the pass's positions: its (u, v) is W[order[u], order[v]]
-    aug: np.ndarray  # [ys, -|ys|^2 / 2, 1] in that order
+    aug_t: np.ndarray  # row-major rows ys, -|ys|^2 / 2 and 1, one column per position
     ln_tau: float
-    layout: list  # per tile row: (rows, [cols of each computed tile], [its masked flag])
+    # per tile row: (rows, [cols of each computed tile], [its masked flag],
+    # the full column tiles it trims, their kept-column bits)
+    layout: list
 
 
 def _pass_plan(cloud: PointCloud, kernel: KernelConfig) -> _PassPlan:
@@ -158,9 +161,10 @@ def _pass_plan(cloud: PointCloud, kernel: KernelConfig) -> _PassPlan:
 
     It is kept on the cloud under that key, so a cell's degree pass and W g
     pass share it, and a changed kernel or tile side plans anew. It holds
-    aug and the int32 near columns of the trimmed pairs. At tau = 0 no pair
-    can be skipped, so the sample order is kept rather than paid for, and
-    every tile pair is unmasked; at tau > 0 see _tile_order, _tile_classes.
+    aug^T and one 224-bit mask of kept columns per trimmed pair. At tau = 0
+    no pair can be skipped, so the sample order is kept rather than paid
+    for, and every tile pair is unmasked; at tau > 0 see _tile_order,
+    _tile_classes.
     """
     key = (kernel.epsilon, kernel.truncation_tau, _TILE)
     held, plan = cloud.__dict__.get("_plan", (None, None))
@@ -170,11 +174,14 @@ def _pass_plan(cloud: PointCloud, kernel: KernelConfig) -> _PassPlan:
     tiles = [slice(i0, min(i0 + _TILE, n)) for i0 in range(0, n, _TILE)]
     if tau > 0.0:
         order = _tile_order(cloud.points)
-        aug = _augmented(cloud.points, order, kernel.epsilon)
-        plan = _PassPlan(order, aug, np.log(tau), _tile_classes(aug, tiles, tau))
+        aug_t = _augmented(cloud.points, order, kernel.epsilon)
+        plan = _PassPlan(order, aug_t, np.log(tau), _tile_classes(aug_t, tiles, tau))
     else:
         order = np.arange(n)
-        layout = [(rows, tiles[bi:], [False] * (len(tiles) - bi)) for bi, rows in enumerate(tiles)]
+        untrimmed = np.empty(0, dtype=np.intp), np.empty((0, 0), dtype=np.uint8)
+        layout = [
+            (rows, tiles[bi:], [False] * (len(tiles) - bi), *untrimmed) for bi, rows in enumerate(tiles)
+        ]
         plan = _PassPlan(order, _augmented(cloud.points, order, kernel.epsilon), -np.inf, layout)
     order.setflags(write=False)
     object.__setattr__(cloud, "_plan", (key, plan))
@@ -182,20 +189,22 @@ def _pass_plan(cloud: PointCloud, kernel: KernelConfig) -> _PassPlan:
 
 
 def _augmented(x, order, epsilon):
-    """aug = [ys, -h, 1] of the points x in the given order, centred once and scaled,
-    ys = (x - mean(x)) / sqrt(eps), and h = |ys|^2 / 2: ln W_uv = ys_u.ys_v - h_u - h_v.
+    """aug^T, the row-major transpose of aug = [ys, -h, 1] of the points x in the
+    given order, centred once and scaled, ys = (x - mean(x)) / sqrt(eps), and
+    h = |ys|^2 / 2: ln W_uv = ys_u.ys_v - h_u - h_v.
     """
-    aug = np.empty((len(x), x.shape[1] + 2))
-    ys = aug[:, :-2]  # a view of aug's first columns
-    np.subtract(x[order], x.mean(axis=0), out=ys)
+    ys = x[order] - x.mean(axis=0)
     ys /= np.sqrt(epsilon)
-    aug[:, -2] = -0.5 * np.einsum("ij,ij->i", ys, ys)
-    aug[:, -1] = 1.0
-    return aug
+    aug_t = np.empty((x.shape[1] + 2, len(x)))
+    aug_t[:-2] = ys.T
+    # summed on the C-order ys: einsum sums a strided layout in another order
+    aug_t[-2] = -0.5 * np.einsum("ij,ij->i", ys, ys)
+    aug_t[-1] = 1.0
+    return aug_t
 
 
-def _tile_classes(aug, tiles, tau):
-    """Per tile row, (rows, [cols], [masked]) of the tiles a pass at tau > 0 computes.
+def _tile_classes(aug_t, tiles, tau):
+    """Per tile row, the _PassPlan layout of the tiles a pass at tau > 0 computes.
 
     A weight is dropped where |ys_u - ys_v|^2 > r2 = -2 ln tau. Each tile
     pair falls in one of three classes by its two tiles' bounding boxes in
@@ -211,18 +220,19 @@ def _tile_classes(aug, tiles, tau):
     A masked pair off the diagonal is trimmed, not computed, when its
     column tile is full: a column whose squared gap to the row tile's box
     exceeds r2 plus the margin is dropped (the mask would zero its every
-    entry), and the others are gathered, over the row's trimmed pairs in
-    order, into masked tiles of up to _TILE columns, after the row's other
-    tiles, with cols an increasing index array. The columns are tested in
+    entry), and the others are kept. The plan holds a bit per column of
+    each trimmed pair; the tile loop gathers the kept columns, over the
+    row's trimmed pairs in order, into masked tiles of up to _TILE columns,
+    after the row's other tiles (see _gathered). The columns are tested in
     the full tiles of ys, so the ragged last column tile is never trimmed.
     """
-    n, ys, starts = len(aug), aug[:, :-2], range(0, len(aug), _TILE)
-    top = -2.0 * np.minimum.reduceat(aug[:, -2], starts)  # largest |ys|^2 of each tile
+    n, ys, starts = aug_t.shape[1], aug_t[:-2].T, range(0, aug_t.shape[1], _TILE)
+    top = -2.0 * np.minimum.reduceat(aug_t[-2], starts)  # largest |ys|^2 of each tile
     r2 = -2.0 * np.log(tau)
     lo, hi = np.minimum.reduceat(ys, starts), np.maximum.reduceat(ys, starts)
     sizes = np.diff([*starts, n])
     whole = sizes == _TILE  # the column tiles a masked pair may trim
-    ys3 = ys[: n // _TILE * _TILE].reshape(-1, _TILE, ys.shape[1])  # the full tiles
+    ys3 = ys[: n // _TILE * _TILE].reshape(-1, _TILE, ys.shape[1])  # the full tiles, a view
     skipped = masked = dropped = kept_cols = trimmed_cols = chunks = 0
     layout = []
     for bi, rows in enumerate(tiles):
@@ -237,14 +247,15 @@ def _tile_classes(aug, tiles, tau):
         dropped += 2 * sizes[bi] * int(sizes[bi:][skip].sum())
         trim = mask & whole[bi:]
         trim[0] = False  # the diagonal tile is never trimmed
-        near = _near_columns(ys3, bi + np.flatnonzero(trim), lo[bi], hi[bi], r2 + margin[trim])
-        kept_cols += len(near)
-        trimmed_cols += int(trim.sum()) * _TILE - len(near)
+        trimmed = bi + np.flatnonzero(trim)
+        near = _near_columns(ys3, trimmed, lo[bi], hi[bi], r2 + margin[trim])
+        kept = int(near.sum())
+        kept_cols += kept
+        trimmed_cols += near.size - kept
+        chunks += -(-kept // _TILE)
         computed = np.flatnonzero(~(skip | trim))  # the diagonal tile comes first
-        gathered = [near[c0 : c0 + _TILE] for c0 in range(0, len(near), _TILE)]
-        chunks += len(gathered)
-        cols = [tiles[bi + k] for k in computed] + gathered
-        layout.append((rows, cols, mask[computed].tolist() + [True] * len(gathered)))
+        cols = [tiles[bi + k] for k in computed]
+        layout.append((rows, cols, mask[computed].tolist(), trimmed, np.packbits(near, axis=1)))
     unmasked = len(tiles) * (len(tiles) + 1) // 2 - skipped - masked
     log.debug(
         "kernel pass: N=%d, tile pairs skipped=%d unmasked=%d masked=%d, "
@@ -263,21 +274,28 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig):
     W[order[rows], order[cols]] = block off the diagonal; a diagonal tile
     comes with cols the same object as rows, and with its diagonal 0: the
     self-weight W_uu = 1 is left to the consumer. aug[rows] with its last
-    two columns swapped, times aug[cols]^T, is ln W: a tile is one GEMM
-    into a reused buffer, then an in-place exp, zeroing the entries below
-    ln tau if masked. ln W <= 0, up to roundoff, cannot overflow at any
-    offset or eps. GEMM roundoff is not symmetric in u and v, so a diagonal
-    tile is not exactly symmetric. The next tile overwrites the buffer, so
-    a pass needs O(N + _TILE^2) memory at any N.
+    two columns swapped, a column-major copy, times aug^T[:, cols], a
+    row-major view or gathered copy, is ln W: a tile is one GEMM into a
+    reused buffer, then an in-place exp, zeroing the entries below ln tau
+    if masked. ln W <= 0, up to roundoff, cannot overflow at any offset or
+    eps. GEMM roundoff is not symmetric in u and v, so a diagonal tile is
+    not exactly symmetric. The next tile overwrites the buffer, so a pass
+    needs O(N + _TILE^2) memory at any N.
     """
     plan = _pass_plan(cloud, kernel)
-    aug, ln_tau = plan.aug, plan.ln_tau
-    swap = [*range(aug.shape[1] - 2), -1, -2]
+    aug_t, ln_tau = plan.aug_t, plan.ln_tau
+    swap = [*range(len(aug_t) - 2), -1, -2]
     tile, keep = np.empty(_TILE * _TILE), np.empty(_TILE * _TILE, dtype=bool)
-    for rows, row_cols, masks in plan.layout:
-        lhs = aug[rows, swap]
-        for cols, masked in zip(row_cols, masks):
-            rhs = aug[cols].T
+    chunk = np.empty(len(aug_t) * _TILE)
+    for rows, row_cols, masks, trimmed, bits in plan.layout:
+        lhs = aug_t[swap, rows].T
+        gathered = _gathered(trimmed, bits)
+        for cols, masked in zip(row_cols + gathered, masks + [True] * len(gathered)):
+            if isinstance(cols, slice):
+                rhs = aug_t[:, cols]
+            else:  # a gathered chunk: aug_t[:, cols] would come out column-major
+                rhs = chunk[: len(aug_t) * len(cols)].reshape(-1, len(cols))
+                np.take(aug_t, cols, axis=1, out=rhs)
             block = tile[: len(lhs) * rhs.shape[1]].reshape(len(lhs), -1)
             np.matmul(lhs, rhs, out=block)
             if masked:
@@ -285,28 +303,39 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig):
             else:
                 np.exp(block, out=block)
             if cols is rows:
-                np.fill_diagonal(block, 0.0)
+                tile[: block.size : len(block) + 1] = 0.0  # the diagonal of the square block
             yield rows, cols, block
 
 
 def _near_columns(ys3, tiles, lo, hi, limits):
-    """The positions, in order, of the columns of the given full tiles whose
-    squared gap to the box [lo, hi] is at most the tile's limit.
+    """A (len(tiles), _TILE) bool array: which columns of the given full tiles
+    have a squared gap to the box [lo, hi] of at most the tile's limit.
 
     ys3 holds the full tiles of ys as (tiles, _TILE, dim); the columns are
     tested _TRIM_TILES tiles at a time, so the temporaries stay below a tile.
     """
-    near = [np.empty(0, dtype=np.int32)]
+    near = np.empty((len(tiles), _TILE), dtype=bool)
     for t0 in range(0, len(tiles), _TRIM_TILES):
-        some = tiles[t0 : t0 + _TRIM_TILES]
-        y = ys3[some]
+        # a C-order copy: einsum sums a strided layout in another order, which
+        # could move a column across the limit
+        y = np.take(ys3, tiles[t0 : t0 + _TRIM_TILES], axis=0)
         gap = lo - y
         np.maximum(gap, np.subtract(y, hi, out=y), out=gap)
         np.maximum(gap, 0.0, out=gap)
-        reach = np.einsum("ijk,ijk->ij", gap, gap) <= limits[t0 : t0 + _TRIM_TILES, None]
-        pair, col = np.nonzero(reach)
-        near.append(some[pair] * _TILE + col)
-    return np.concatenate(near, dtype=np.int32)  # a cloud of 2^31 points would not fit
+        reach = np.einsum("ijk,ijk->ij", gap, gap)
+        near[t0 : t0 + _TRIM_TILES] = reach <= limits[t0 : t0 + _TRIM_TILES, None]
+    return near
+
+
+def _gathered(tiles, bits):
+    """The kept columns of a tile row's trimmed pairs, as increasing index arrays of
+    up to _TILE positions: the set bits of each full column tile's mask, in order.
+    """
+    if not len(tiles):  # a row that trims no pair, as every row at tau = 0
+        return []
+    at = np.flatnonzero(np.unpackbits(bits, axis=1, count=_TILE))
+    near = tiles[at // _TILE] * _TILE + at % _TILE
+    return [near[c0 : c0 + _TILE] for c0 in range(0, len(near), _TILE)]
 
 
 def _threshold_exp(block, ln_tau, keep):
@@ -387,10 +416,11 @@ def kernel_matvec(cloud: PointCloud, kernel: KernelConfig, g) -> np.ndarray:
     g = _check_vertex_function(g, cloud.n_points)[order]
     out = g.copy()
     for rows, cols, block in _kernel_blocks(cloud, kernel):
-        out[rows] += block @ g[cols]
+        # np.dot releases the GIL in these vector products, where @ holds it
+        out[rows] += np.dot(block, g[cols])
         if cols is not rows:
             # W is symmetric: the block's transpose is the mirrored block
-            out[cols] += g[rows] @ block
+            out[cols] += np.dot(g[rows], block)
     out[order] = out.copy()
     return out
 

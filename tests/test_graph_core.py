@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import math
@@ -728,6 +729,66 @@ class TestPassThreads:
             "circle", "sphere", "torus", "sphere, tau = 0", "torus, tau = 0", "12-d normal, tau = 0"
         }
         assert all(r <= 1.25 for r in ratios.values()), ratios
+
+
+# The clouds whose kernel outputs are pinned: a ragged 52-point last tile
+# (500 = 2 x 224 + 52); masked tiles and gathered chunks on the sphere;
+# skipped, unmasked and masked tile pairs and dropped columns on the circle;
+# and a 12-dimensional cloud, whose tiles have 14 columns of aug.
+DIGEST_CLOUDS = {
+    "circle N=500, tau 0": (lambda: sample("circle", 500, 1), KernelConfig(epsilon=0.01)),
+    "sphere N=2000, eps 0.05, tau 1e-8": (
+        lambda: sample("sphere", 2000, 1), KernelConfig(epsilon=0.05, truncation_tau=1e-8)
+    ),
+    "circle N=2000, eps 0.05, tau 1e-8": (
+        lambda: sample("circle", 2000, 1), KernelConfig(epsilon=0.05, truncation_tau=1e-8)
+    ),
+    "12-d normal N=600, tau 0": (lambda: random_cloud(600, 12, 2), KernelConfig(epsilon=1.0)),
+}
+
+
+def kernel_digests(cloud, kernel):
+    """sha256 of the float64 bytes of each kernel pass on the cloud."""
+    g = np.linspace(-1.0, 1.0, cloud.n_points)
+    outputs = {
+        "degrees_from_cloud": degrees_from_cloud(cloud, kernel),
+        "kernel_matvec": kernel_matvec(cloud, kernel, g),
+        "build_weights": build_weights(cloud, kernel),
+    }
+    return {name: hashlib.sha256(out.tobytes()).hexdigest() for name, out in outputs.items()}
+
+
+class TestKernelDigests:
+    # A new operand layout or call of the same tile products must not move
+    # a kernel output by one bit (numpy 2.4, OpenBLAS 0.3.31 on x86-64;
+    # another BLAS or exp may round the last bits apart).
+    PINNED = {
+        "circle N=500, tau 0": {
+            "degrees_from_cloud": "b68fb7c6cb3748be3abad42ad9d796a5227b7b0a4814e7c38c99a3d17c977852",
+            "kernel_matvec": "cf0bcec09411353e12a89afdee7c88ea3ce600867327d4712d0d19ec1b686a01",
+            "build_weights": "25ea3fee53ecbb4f4e7872d8c4ad1ed898b30a046d8f7fd31660adc1582713b8",
+        },
+        "sphere N=2000, eps 0.05, tau 1e-8": {
+            "degrees_from_cloud": "707216da792b554bb681d0a09b949506628749ab4ff2fadd81a6fd190f3b8a06",
+            "kernel_matvec": "530c1e7ef7ebc092e936a49cae6240ba7b20366ce289fa1a582717bf9eb5e29f",
+            "build_weights": "6a202cc5329b874ec1afae0afaa75cc51fb13b411177372de93dc958e5db32b5",
+        },
+        "circle N=2000, eps 0.05, tau 1e-8": {
+            "degrees_from_cloud": "741d651a3f6e5f21f637323c6d98b53eb8adea483b8296b58e83dc61a93b9291",
+            "kernel_matvec": "7d7d5bcb2802dad84b19e85b3ba5886b7d4a7406e224b223886606069891c840",
+            "build_weights": "d7c3bf38762278ce861ffa0ddb7f15e8537c7d1b01a383372c66cfceae17a042",
+        },
+        "12-d normal N=600, tau 0": {
+            "degrees_from_cloud": "c6a59de0a46d2bfa58f685e2737c24a7bee781e85fd0d4533a6684ed34890c57",
+            "kernel_matvec": "163906e94e2bcb4b3697166aac0a60af1dd4f3152afcaa551200e048eca3bbc7",
+            "build_weights": "c9a1ddefa025da9b2857651e0b7df909a3a3d806d3221298972d6baf35b4bb45",
+        },
+    }
+
+    @pytest.mark.parametrize("case", list(DIGEST_CLOUDS))
+    def test_kernel_outputs_are_pinned(self, case):
+        make, kernel = DIGEST_CLOUDS[case]
+        assert kernel_digests(make(), kernel) == self.PINNED[case]
 
 
 class TestLaplacianFromCloud:
