@@ -41,8 +41,8 @@ _TILE = 224
 _ROUNDOFF = 2.0**-40
 
 # Column tiles whose columns the trim tests in one vectorized step: its
-# temporaries, two arrays of _TRIM_TILES * _TILE * dim floats, stay below a tile
-# (at dim <= 3) however many pairs a tile row trims.
+# temporaries, two (dim, _TRIM_TILES, _TILE) arrays, stay below a tile (at
+# dim <= 3) however many pairs a tile row trims.
 _TRIM_TILES = 16
 
 log = logging.getLogger("graph_calculus.graph_core")
@@ -128,9 +128,12 @@ def _tile_order(points: np.ndarray) -> np.ndarray:
 
     Each part is split on the widest axis of its bounding box, at a multiple
     of _TILE points from its start (the ragged remainder goes right), so
-    every _TILE-point tile of the order is one compact leaf.
+    every _TILE-point tile of the order is one compact leaf. The coordinates
+    are held axis-major, so each box and partition runs along a row of the
+    part's points rather than across its 2-3 axes.
     """
     order = np.arange(len(points))
+    coords = np.ascontiguousarray(points.T)
     parts = [(0, len(points))]
     while parts:
         lo, hi = parts.pop()
@@ -138,10 +141,10 @@ def _tile_order(points: np.ndarray) -> np.ndarray:
         if tiles < 2:
             continue
         part = order[lo:hi]
-        pts = points[part]
-        axis = np.argmax(pts.max(axis=0) - pts.min(axis=0))
+        pts = np.take(coords, part, axis=1)
+        axis = np.argmax(pts.max(axis=1) - pts.min(axis=1))
         cut = tiles // 2 * _TILE
-        order[lo:hi] = part[np.argpartition(pts[:, axis], cut)]
+        order[lo:hi] = part[np.argpartition(pts[axis], cut)]
         parts += [(lo, lo + cut), (lo + cut, hi)]
     return order
 
@@ -225,14 +228,18 @@ def _tile_classes(aug_t, tiles, tau):
     row's trimmed pairs in order, into masked tiles of up to _TILE columns,
     after the row's other tiles (see _gathered). The columns are tested in
     the full tiles of ys, so the ragged last column tile is never trimmed.
+    The boxes are reduced along aug^T's rows (min and max are exact) and
+    held C-order, as (tiles, dim), for the einsums: einsum sums another
+    layout in another order.
     """
-    n, ys, starts = aug_t.shape[1], aug_t[:-2].T, range(0, aug_t.shape[1], _TILE)
+    n, dim, starts = aug_t.shape[1], len(aug_t) - 2, range(0, aug_t.shape[1], _TILE)
     top = -2.0 * np.minimum.reduceat(aug_t[-2], starts)  # largest |ys|^2 of each tile
     r2 = -2.0 * np.log(tau)
-    lo, hi = np.minimum.reduceat(ys, starts), np.maximum.reduceat(ys, starts)
+    lo = np.minimum.reduceat(aug_t[:-2], starts, axis=1).T.copy()
+    hi = np.maximum.reduceat(aug_t[:-2], starts, axis=1).T.copy()
     sizes = np.diff([*starts, n])
     whole = sizes == _TILE  # the column tiles a masked pair may trim
-    ys3 = ys[: n // _TILE * _TILE].reshape(-1, _TILE, ys.shape[1])  # the full tiles, a view
+    ys3 = aug_t[:-2, : n // _TILE * _TILE].reshape(dim, -1, _TILE)  # the full tiles, a view
     skipped = masked = dropped = kept_cols = trimmed_cols = chunks = 0
     layout = []
     for bi, rows in enumerate(tiles):
@@ -311,18 +318,21 @@ def _near_columns(ys3, tiles, lo, hi, limits):
     """A (len(tiles), _TILE) bool array: which columns of the given full tiles
     have a squared gap to the box [lo, hi] of at most the tile's limit.
 
-    ys3 holds the full tiles of ys as (tiles, _TILE, dim); the columns are
-    tested _TRIM_TILES tiles at a time, so the temporaries stay below a tile.
+    ys3 holds the full tiles of ys axis-major, as (dim, tiles, _TILE); the
+    columns are tested _TRIM_TILES tiles at a time, so the temporaries stay
+    below a tile, and every step runs along _TILE-long rows. The squared gap
+    is summed over the axes in axis order, where an einsum over the axes
+    pairs them as (0 + 2) + 1 at dim 3: a column's sum can round a last bit
+    apart from that order, which the _ROUNDOFF margin in each limit covers.
     """
     near = np.empty((len(tiles), _TILE), dtype=bool)
+    lo, hi = lo[:, None, None], hi[:, None, None]
     for t0 in range(0, len(tiles), _TRIM_TILES):
-        # a C-order copy: einsum sums a strided layout in another order, which
-        # could move a column across the limit
-        y = np.take(ys3, tiles[t0 : t0 + _TRIM_TILES], axis=0)
-        gap = lo - y
-        np.maximum(gap, np.subtract(y, hi, out=y), out=gap)
-        np.maximum(gap, 0.0, out=gap)
-        reach = np.einsum("ijk,ijk->ij", gap, gap)
+        y = np.take(ys3, tiles[t0 : t0 + _TRIM_TILES], axis=1)
+        # y minus its clip into the box is the gap to it, negated below the
+        # box, which the square drops
+        gap = np.subtract(y, np.clip(y, lo, hi), out=y)
+        reach = np.square(gap, out=gap).sum(axis=0)
         near[t0 : t0 + _TRIM_TILES] = reach <= limits[t0 : t0 + _TRIM_TILES, None]
     return near
 

@@ -514,6 +514,30 @@ class TestTileClasses:
                 kept = either & (block != 0.0)
                 np.testing.assert_allclose(block[kept], weight[kept], rtol=1e-13, atol=0.0)
 
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(case=cut_radius_clouds())
+    @example(case=pairs_on_a_line([1e-9, -1e-9, 1e-7, -1e-7]))
+    def test_trim_keeps_the_columns_within_the_limit(self, case):
+        # The trim keeps exactly the columns whose squared gap to a row tile's
+        # box is at most the limit, here r2 itself. It sums a gap over the axes
+        # in axis order: that is a rounding choice and nothing more, so only a
+        # column within 1e-12 of the limit may go either way.
+        pts, eps, tau, tile = case
+        r2 = -2.0 * math.log(tau)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_core, "_TILE", tile)
+            aug_t = graph_core._augmented(pts, np.arange(len(pts)), eps)
+            full = len(pts) // tile
+            ys3 = aug_t[:-2, : full * tile].reshape(len(aug_t) - 2, full, tile)
+            ys = aug_t[:-2].T
+            for r0 in range(0, len(pts), tile):
+                lo, hi = ys[r0 : r0 + tile].min(axis=0), ys[r0 : r0 + tile].max(axis=0)
+                near = graph_core._near_columns(ys3, np.arange(full), lo, hi, np.full(full, r2))
+                for u in range(full * tile):
+                    reach = math.fsum(max(a - y, y - b, 0.0) ** 2 for a, y, b in zip(lo, ys[u], hi))
+                    if abs(reach / r2 - 1.0) > 1e-12:
+                        assert near[u // tile, u % tile] == (reach <= r2), (r0, u, reach, r2)
+
     @pytest.mark.parametrize(
         "case, tile",
         [
@@ -744,6 +768,11 @@ DIGEST_CLOUDS = {
         lambda: sample("circle", 2000, 1), KernelConfig(epsilon=0.05, truncation_tau=1e-8)
     ),
     "12-d normal N=600, tau 0": (lambda: random_cloud(600, 12, 2), KernelConfig(epsilon=1.0)),
+    # its trim drops 28,695 columns over 260 trimmed pairs; past DENSE_LIMIT,
+    # so build_weights is left out
+    "sphere N=8000, eps 0.01, tau 1e-8": (
+        lambda: sample("sphere", 8000, 1), KernelConfig(epsilon=0.01, truncation_tau=1e-8)
+    ),
 }
 
 
@@ -753,8 +782,9 @@ def kernel_digests(cloud, kernel):
     outputs = {
         "degrees_from_cloud": degrees_from_cloud(cloud, kernel),
         "kernel_matvec": kernel_matvec(cloud, kernel, g),
-        "build_weights": build_weights(cloud, kernel),
     }
+    if cloud.n_points <= graph_core.DENSE_LIMIT:
+        outputs["build_weights"] = build_weights(cloud, kernel)
     return {name: hashlib.sha256(out.tobytes()).hexdigest() for name, out in outputs.items()}
 
 
@@ -783,12 +813,60 @@ class TestKernelDigests:
             "kernel_matvec": "163906e94e2bcb4b3697166aac0a60af1dd4f3152afcaa551200e048eca3bbc7",
             "build_weights": "c9a1ddefa025da9b2857651e0b7df909a3a3d806d3221298972d6baf35b4bb45",
         },
+        "sphere N=8000, eps 0.01, tau 1e-8": {
+            "degrees_from_cloud": "d39e53f528a0c44fb93046aaf06ff9786579ee404624aeecaad3b930043c4c83",
+            "kernel_matvec": "4026c97175793b0799347c2c666e63b86b93f3b2ce9e10d011bcb29bc747c020",
+        },
     }
 
     @pytest.mark.parametrize("case", list(DIGEST_CLOUDS))
     def test_kernel_outputs_are_pinned(self, case):
         make, kernel = DIGEST_CLOUDS[case]
         assert kernel_digests(make(), kernel) == self.PINNED[case]
+
+
+# The clouds whose pass plans are pinned, all at tau 1e-8: the shapes of the
+# sphere_sparse_sweep and degree_ensemble cells, a torus in R^4 and a
+# 12-dimensional cloud.
+PLAN_CLOUDS = {
+    "sphere N=8000, eps 0.01": (lambda: sample("sphere", 8000, 1), 0.01),
+    "sphere N=8000, eps 0.02": (lambda: sample("sphere", 8000, 1), 0.02),
+    "sphere N=20000, eps 0.05": (lambda: sample("sphere", 20000, 1), 0.05),
+    "circle N=20000, eps 0.05": (lambda: sample("circle", 20000, 1), 0.05),
+    "torus N=4000, eps 0.05": (lambda: sample("torus", 4000, 1), 0.05),
+    "12-d normal N=2000, eps 1": (lambda: random_cloud(2000, 12, 2), 1.0),
+}
+
+
+def plan_digest(cloud, kernel):
+    """sha256 of a pass plan: its order, then per tile row the column starts,
+    masked flags, trimmed column tiles and kept-column bits."""
+    plan = graph_core._pass_plan(cloud, kernel)
+    digest = hashlib.sha256(plan.order.astype(np.int64).tobytes())
+    for _, cols, masks, trimmed, bits in plan.layout:
+        digest.update(np.array([c.start for c in cols], dtype=np.int64).tobytes())
+        digest.update(np.array(masks, dtype=bool).tobytes())
+        digest.update(trimmed.astype(np.int64).tobytes())
+        digest.update(np.ascontiguousarray(bits).tobytes())
+    return digest.hexdigest()
+
+
+class TestPlanDigests:
+    # A faster way to build a plan must build the same one: the same order,
+    # tile classes and kept columns (numpy 2.4 on x86-64).
+    PINNED = {
+        "sphere N=8000, eps 0.01": "26be21b0d30ce49b18fb134f8f0979618e485c2ed0a4db8e5a17261deffa542a",
+        "sphere N=8000, eps 0.02": "ccaadd18a3487578393c9ad0583e096a6efef51658294bc0a65254ca8bdc630b",
+        "sphere N=20000, eps 0.05": "fd63b668aa5ba1c81b97b8c55d4874060ff8b95f380196a5f45b8d8809e448df",
+        "circle N=20000, eps 0.05": "533da4a86d3f0e2084e157a5c6da9728ba56d71a05c8776e2c82904ca98b3f9c",
+        "torus N=4000, eps 0.05": "3beb082831a940212c0d472930b6ac449f25657b63b406feae2a8b3ec49dcaf1",
+        "12-d normal N=2000, eps 1": "414f77c387467d3eb9040732b516a8b434b6babdfd7154e46ad1a3144baf0dda",
+    }
+
+    @pytest.mark.parametrize("case", list(PLAN_CLOUDS))
+    def test_plans_are_pinned(self, case):
+        make, eps = PLAN_CLOUDS[case]
+        assert plan_digest(make(), KernelConfig(epsilon=eps, truncation_tau=1e-8)) == self.PINNED[case]
 
 
 class TestLaplacianFromCloud:
