@@ -71,8 +71,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _peak_rss_mb() -> float:
-    """This process's peak resident set size in MB (ru_maxrss counts KB on Linux, bytes on macOS)."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    """Peak resident set size in MB of this process or of its largest joined child.
+
+    The children are a sweep's helper processes, counted once the pool has
+    joined them (ru_maxrss counts KB on Linux, bytes on macOS).
+    """
+    peak = max(resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
     return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
 
 

@@ -25,7 +25,7 @@ import operator
 import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -483,7 +483,12 @@ class CellFailure:
 class SweepResult:
     rows: tuple
     failures: tuple
-    pool_width: int  # threads the cells ran on
+    pool_width: int  # workers: the calling process and pool_width - 1 helper processes
+
+
+def _cell_failure(n: int, epsilon: float, trial: int, seed: int, kind: str, message: str):
+    log.warning("cell N=%d eps=%g trial=%d failed (%s): %s", n, epsilon, trial, kind, message)
+    return CellFailure(n=n, epsilon=epsilon, trial=trial, seed=seed, message=message, kind=kind)
 
 
 def _run_cell(spec: ExperimentSpec, n: int, epsilon: float, trial: int):
@@ -502,9 +507,7 @@ def _run_cell(spec: ExperimentSpec, n: int, epsilon: float, trial: int):
         )
     except Exception as exc:  # recorded, remaining cells continue
         kind = "resource" if isinstance(exc, MemoryError) else "numerical"
-        message = str(exc) or type(exc).__name__
-        log.warning("cell N=%d eps=%g trial=%d failed (%s): %s", n, epsilon, trial, kind, message)
-        return CellFailure(n=n, epsilon=epsilon, trial=trial, seed=seed, message=message, kind=kind)
+        return _cell_failure(n, epsilon, trial, seed, kind, str(exc) or type(exc).__name__)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return CellResult(
         manifold=spec.manifold,
@@ -537,19 +540,95 @@ def _usable_cpus() -> int | None:
 
 
 def _pool_width(parallelism: int, n_jobs: int) -> int:
-    """min(parallelism, n_jobs, usable CPUs) threads, and at least 1."""
-    return max(1, min(int(parallelism), n_jobs, _usable_cpus() or 1))
+    """min(parallelism, n_jobs, usable CPUs) workers, at least 1, and 1 without fork."""
+    width = max(1, min(int(parallelism), n_jobs, _usable_cpus() or 1))
+    return width if hasattr(os, "fork") else 1
+
+
+def _helper(conn, inherited) -> None:
+    """Run the cells that arrive on conn, in order, until the other end closes.
+
+    inherited holds this process's copies of the caller's pipe ends, closed
+    here so that each pipe ends when the caller closes its end.
+    """
+    for end in inherited:
+        end.close()
+    try:
+        while True:
+            conn.send(_run_cell(*conn.recv()))
+    except (EOFError, OSError):
+        return
+
+
+def _run_with_helpers(spec: ExperimentSpec, cells: list, helpers: int) -> list:
+    """Every cell's outcome, in cell order, from this process and `helpers` forked helpers.
+
+    This process keeps each helper two cells ahead over its own pipe, then
+    runs the next cell itself. A helper runs its cells in the order sent,
+    so when one dies (say, killed for memory) the first cell it held is the
+    one it died in: that cell is a "resource" failure, and the cells queued
+    behind it go back to the other workers.
+    """
+    # imported here, so that a serial run and the CLI's start-up never load them
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    fork = multiprocessing.get_context("fork")
+    outcomes = [None] * len(cells)
+    todo = deque(range(len(cells)))
+    live = {}  # our end of a helper's pipe -> (the helper, indices of the cells it holds)
+    try:
+        for _ in range(helpers):
+            ours, theirs = fork.Pipe()
+            proc = fork.Process(target=_helper, args=(theirs, [ours, *live]), daemon=True)
+            proc.start()
+            theirs.close()
+            live[ours] = (proc, deque())
+        while todo or any(held for _, held in live.values()):
+            for conn, (proc, held) in list(live.items()):
+                try:
+                    while held and conn.poll():
+                        outcomes[held[0]] = conn.recv()  # held until received
+                        held.popleft()
+                    while todo and len(held) < 2:
+                        conn.send((spec, *cells[todo[0]]))
+                        held.append(todo.popleft())
+                except (EOFError, OSError):  # the helper is gone
+                    del live[conn]
+                    conn.close()
+                    proc.join()
+                    if held:
+                        n, epsilon, trial = cells[held[0]]
+                        seed = derive_cell_seed(spec.master_seed, n, epsilon, trial)
+                        message = f"its helper process ended abruptly (exit code {proc.exitcode})"
+                        outcomes[held.popleft()] = _cell_failure(n, epsilon, trial, seed, "resource", message)
+                        todo.extendleft(reversed(held))
+            waiting = [conn for conn, (_, held) in live.items() if held]
+            if todo:
+                i = todo.popleft()
+                outcomes[i] = _run_cell(spec, *cells[i])
+            elif waiting:
+                wait(waiting)
+    finally:
+        for conn, (proc, held) in live.items():
+            conn.close()
+            if held:  # only an exception leaves a helper holding cells
+                proc.terminate()
+        for proc, _ in live.values():
+            proc.join()
+    return outcomes
 
 
 def sweep(spec: ExperimentSpec, parallelism: int = 1) -> SweepResult:
     """Run every (N, epsilon, trial) cell of the spec.
 
-    Cells are independent. They run on a thread pool of min(parallelism,
-    cells, usable CPUs) workers, or serially when that width is 1; numpy
-    releases the GIL in the kernel tiles, whose products stay on the calling
-    thread, so the pool is the only source of threads. The result table is
-    in spec order regardless of completion order, and cell seeds are
-    derived from values, so the numbers are identical at any parallelism.
+    Cells are independent. They run on min(parallelism, cells, usable CPUs)
+    workers: this process and one fewer forked helper processes, or this
+    process alone when that width is 1 or the platform cannot fork. A
+    cell's kernel products stay on the thread that runs it, so each worker
+    keeps to one CPU. The result table is in spec order regardless of
+    completion order, and cell seeds are derived from values, so the
+    numbers are identical at any parallelism.
     """
     cells = [
         (n, eps, t)
@@ -572,8 +651,7 @@ def sweep(spec: ExperimentSpec, parallelism: int = 1) -> SweepResult:
     if width == 1:
         outcomes = [_run_cell(spec, *c) for c in cells]
     else:
-        with ThreadPoolExecutor(max_workers=width) as pool:
-            outcomes = list(pool.map(lambda c: _run_cell(spec, *c), cells))
+        outcomes = _run_with_helpers(spec, cells, width - 1)
     rows = tuple(o for o in outcomes if isinstance(o, CellResult))
     failures = tuple(o for o in outcomes if isinstance(o, CellFailure))
     return SweepResult(rows=rows, failures=failures, pool_width=width)

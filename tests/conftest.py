@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 
 from graph_calculus import graph_core
@@ -18,3 +20,16 @@ def split_blocks(monkeypatch):
         assert n % rows != 0
 
     return split
+
+
+@pytest.fixture
+def time_limit():
+    """Arm a timer that fails the test, instead of hanging the suite, after the given seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the test ran past its time limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    yield signal.alarm
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

@@ -2,10 +2,12 @@ import errno
 import json
 import logging
 import os
+import signal
 import stat
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -203,6 +205,29 @@ class TestRun:
         assert (failure["N"], failure["kind"], failure["message"]) == (80, "resource", "MemoryError")
         assert [c["N"] for c in summary["cells"]] == [40]
 
+    def test_killed_helper_is_a_resource_failure(self, tmp_path, monkeypatch, capsys, time_limit):
+        path = write_spec(tmp_path)
+        real, me = conv.lemma_check, os.getpid()
+
+        def killed_in_helpers(*args, **kwargs):
+            if os.getpid() != me:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(conv, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(conv, "lemma_check", killed_in_helpers)
+        out = tmp_path / "o"
+        time_limit(60)
+        assert main(["run", "--config", str(path), "--out", str(out), "--parallelism", "2"]) == 2
+        assert "cell(s) failed; see summary.json" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["n_cells"], summary["n_failed"]) == (12, 1)
+        (failure,) = summary["failures"]
+        assert (failure["N"], failure["epsilon"], failure["trial"]) == (40, 0.05, 0)
+        assert failure["kind"] == "resource"
+        first = [(c["N"], c["epsilon"], c["trial"]) for c in summary["cells"][:3]]
+        assert first == [(40, 0.05, 1), (40, 0.1, 0), (40, 0.1, 1)]
+
     def test_dense_tau_override_conflict_exit_1(self, spec_file, tmp_path, capsys):
         code = main(
             ["run", "--config", str(spec_file), "--out", str(tmp_path / "o"), "--tau", "0.5"]
@@ -291,6 +316,15 @@ class TestRun:
         assert summary["schema_version"] == 1
         # this process has at least imported numpy, and holds far less than 64 GB
         assert 10.0 < summary["peak_rss_mb"] < 65536.0
+
+    @pytest.mark.parametrize("self_kb, children_kb", [(300 << 10, 100 << 10), (100 << 10, 300 << 10)])
+    def test_peak_rss_counts_the_helpers(self, monkeypatch, self_kb, children_kb):
+        # the larger of this process's peak and its largest joined helper's
+        usage = {cli.resource.RUSAGE_SELF: self_kb, cli.resource.RUSAGE_CHILDREN: children_kb}
+        monkeypatch.setattr(
+            cli.resource, "getrusage", lambda who: SimpleNamespace(ru_maxrss=usage[who])
+        )
+        assert cli._peak_rss_mb() == (300.0 / 1024 if sys.platform == "darwin" else 300.0)
 
     def test_results_do_not_depend_on_blas_threads(self, tmp_path):
         # A kernel tile's products are too small for BLAS to thread, so the

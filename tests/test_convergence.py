@@ -2,7 +2,9 @@ import dataclasses
 import importlib
 import json
 import math
+import os
 import pkgutil
+import signal
 
 import numpy as np
 import pytest
@@ -37,24 +39,15 @@ def oracle():
 
 @pytest.fixture
 def recording_pool(monkeypatch):
-    """Swap convergence's thread pool for a serial fake; yields the widths asked for."""
-    widths = []
+    """Run the cells of a sweep with helpers serially here; yields the helper counts asked for."""
+    helpers = []
 
-    class RecordingExecutor:
-        def __init__(self, max_workers):
-            widths.append(max_workers)
+    def serial(spec, cells, n_helpers):
+        helpers.append(n_helpers)
+        return [conv._run_cell(spec, *c) for c in cells]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(conv, "ThreadPoolExecutor", RecordingExecutor)
-    return widths
+    monkeypatch.setattr(conv, "_run_with_helpers", serial)
+    return helpers
 
 
 def strip_wall(row):
@@ -547,6 +540,16 @@ class TestSweep:
         threaded = [strip_wall(r) for r in sweep(spec, parallelism=4).rows]
         assert serial == threaded
 
+    def test_more_workers_than_cpus_bitwise_identical(self, monkeypatch, time_limit):
+        # 5 workers on any host: this process and 4 helpers, more than cores here
+        spec = self.base_spec(n_list=(60, 90, 120))
+        serial = [strip_wall(r) for r in sweep(spec).rows]
+        monkeypatch.setattr(conv, "_usable_cpus", lambda: 8)
+        time_limit(60)
+        result = sweep(spec, parallelism=5)
+        assert result.pool_width == 5 and not result.failures
+        assert [strip_wall(r) for r in result.rows] == serial
+
     @pytest.mark.parametrize(
         "parallelism, cpus, cells, width",
         [
@@ -561,12 +564,13 @@ class TestSweep:
         ],
     )
     def test_pool_width(self, monkeypatch, recording_pool, parallelism, cpus, cells, width):
-        # min(K, cells, usable CPUs) threads, read once; a width of 1 runs serially
+        # min(K, cells, usable CPUs) workers, read once: this process and
+        # width - 1 helpers; a width of 1 runs serially
         lookups = []
         monkeypatch.setattr(conv, "_usable_cpus", lambda: lookups.append(cpus) or cpus)
         spec = self.base_spec(n_list=(30,), epsilon_list=(0.05,), trials=cells)
         result = sweep(spec, parallelism=parallelism)
-        assert recording_pool == ([] if width == 1 else [width])
+        assert recording_pool == ([] if width == 1 else [width - 1])
         assert result.pool_width == width
         assert len(lookups) == 1
         assert [r.trial for r in result.rows] == list(range(cells))
@@ -575,8 +579,40 @@ class TestSweep:
         monkeypatch.setattr(conv, "_usable_cpus", lambda: 4)
         spec = self.base_spec(n_list=(60,), epsilon_list=(0.05,), trials=2)
         rows = sweep(spec, parallelism=16).rows
-        assert recording_pool == [2]
+        assert recording_pool == [1]  # two workers: this process and one helper
         assert [strip_wall(r) for r in rows] == [strip_wall(r) for r in sweep(spec).rows]
+
+    def test_without_fork_the_width_is_1(self, monkeypatch, recording_pool):
+        monkeypatch.setattr(conv, "_usable_cpus", lambda: 4)
+        monkeypatch.delattr(conv.os, "fork", raising=False)
+        spec = self.base_spec(n_list=(30,), epsilon_list=(0.05,), trials=3)
+        result = sweep(spec, parallelism=4)
+        assert recording_pool == []
+        assert result.pool_width == 1
+        assert [r.trial for r in result.rows] == [0, 1, 2]
+
+    def test_helper_death_is_a_resource_failure(self, monkeypatch, time_limit):
+        # The helper dies in the first cell it gets, which is the one
+        # recorded as failed; this process runs the rest, whose numbers
+        # are unchanged.
+        real, me = conv.lemma_check, os.getpid()
+
+        def killed_in_helpers(*args, **kwargs):
+            if os.getpid() != me:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args, **kwargs)
+
+        spec = self.base_spec(n_list=(30,), epsilon_list=(0.05,), trials=8)
+        serial = {r.trial: strip_wall(r) for r in sweep(spec).rows}
+        monkeypatch.setattr(conv, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(conv, "lemma_check", killed_in_helpers)
+        time_limit(60)
+        result = sweep(spec, parallelism=2)
+        assert result.pool_width == 2
+        (failure,) = result.failures
+        assert (failure.trial, failure.seed, failure.kind) == (0, serial[0].seed, "resource")
+        assert failure.message == f"its helper process ended abruptly (exit code {-signal.SIGKILL})"
+        assert [strip_wall(r) for r in result.rows] == [serial[t] for t in range(1, 8)]
 
     def test_failures_recorded_and_cells_continue(self, monkeypatch):
         real = conv.lemma_check

@@ -367,7 +367,9 @@ def circle_and_far_cluster(seed):
     return PointCloud(points=np.vstack([np.c_[np.cos(theta), np.sin(theta)], cluster]))
 
 
-class TestFactorizedKernel:
+class TestLogWeightTiles:
+    """Tiles taken as ln W match W's formula where a factorized exp would overflow or lose digits."""
+
     @pytest.mark.parametrize("offset", [1e2, 1e4, 1e6])
     def test_offset_cloud_matches_pairwise_formula(self, split_blocks, offset):
         # Centring keeps the exponent's roundoff at the scale of the cloud's
@@ -383,7 +385,7 @@ class TestFactorizedKernel:
         np.testing.assert_allclose(kernel_matvec(cloud, kernel, g), expected @ g, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("tau", [0.0, 1e-8])
-    def test_fallback_tiles_match_pairwise_formula(self, split_blocks, tau):
+    def test_far_cluster_matches_pairwise_formula(self, split_blocks, tau):
         cloud = circle_and_far_cluster(17)
         split_blocks(84, 16)
         kernel = KernelConfig(epsilon=0.02, truncation_tau=tau)
@@ -493,7 +495,7 @@ class TestTileClasses:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(case=cut_radius_clouds())
     @example(case=pairs_on_a_line([1e-9, -1e-9, 1e-7, -1e-7]))
-    def test_tiles_are_truncated_weights_with_unit_factors(self, case):
+    def test_tiles_are_truncated_weights(self, case):
         # At tau > 0 each tile is exp(ln W) with the weights below tau zeroed:
         # each entry is the truncated pairwise weight, or, within 1e-12 of
         # tau, either that weight or 0.
