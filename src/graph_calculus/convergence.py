@@ -26,7 +26,7 @@ import os
 import time
 import warnings
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -99,6 +99,15 @@ def _number(convert, value):
     return convert(value)
 
 
+# The JSON key of each spec field whose key is not the field's name.
+_JSON_KEYS = {"n_list": "N_list"}
+
+
+def _json_fields() -> dict:
+    """Each field of ExperimentSpec under its JSON key, in field order."""
+    return {_JSON_KEYS.get(f.name, f.name): f for f in fields(ExperimentSpec)}
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Declarative sweep over (N, epsilon, trial seeds) for one manifold/function."""
@@ -116,17 +125,18 @@ class ExperimentSpec:
 
     def __post_init__(self):
         get_function(self.manifold, self.function)  # raises with the list of valid ids
-        for name, field, convert in (
-            ("N_list", "n_list", lambda v: tuple(_number(operator.index, n) for n in v)),
-            ("epsilon_list", "epsilon_list", lambda v: tuple(_number(float, e) for e in v)),
-            ("trials", "trials", lambda v: _number(operator.index, v)),
-            ("master_seed", "master_seed", lambda v: _number(operator.index, v)),
-            ("tau", "tau", lambda v: _number(float, v)),
+        for field, convert in (
+            ("n_list", lambda v: tuple(_number(operator.index, n) for n in v)),
+            ("epsilon_list", lambda v: tuple(_number(float, e) for e in v)),
+            ("trials", lambda v: _number(operator.index, v)),
+            ("master_seed", lambda v: _number(operator.index, v)),
+            ("tau", lambda v: _number(float, v)),
         ):
             value = getattr(self, field)
             try:
                 object.__setattr__(self, field, convert(value))
             except (TypeError, ValueError):
+                name = _JSON_KEYS.get(field, field)
                 raise ValueError(f"{name} has the wrong type: {value!r}") from None
         if not self.n_list:
             raise ValueError("N_list must be non-empty")
@@ -148,40 +158,17 @@ class ExperimentSpec:
     def from_dict(cls, payload: dict) -> "ExperimentSpec":
         if not isinstance(payload, dict):
             raise ValueError("experiment spec must be a JSON object")
-        known = {
-            "manifold",
-            "function",
-            "N_list",
-            "epsilon_list",
-            "trials",
-            "master_seed",
-            "mode",
-            "tau",
-            "sampling",
-            "interior_statistic",
-        }
-        unknown = set(payload) - known
+        known = _json_fields()
+        unknown = set(payload) - set(known)
         if unknown:
             raise ValueError(f"unknown spec fields: {', '.join(sorted(unknown))}")
-        missing = {"manifold", "function", "N_list", "epsilon_list", "trials", "master_seed"} - set(
-            payload
-        )
+        missing = {key for key, f in known.items() if f.default is MISSING} - set(payload)
         if missing:
             raise ValueError(f"missing spec fields: {', '.join(sorted(missing))}")
-        mode = payload.get("mode", "dense")
-        tau = payload.get("tau", DEFAULT_TAU if mode == "sparse" else 0.0)
-        return cls(
-            manifold=payload["manifold"],
-            function=payload["function"],
-            n_list=payload["N_list"],
-            epsilon_list=payload["epsilon_list"],
-            trials=payload["trials"],
-            master_seed=payload["master_seed"],
-            mode=mode,
-            tau=tau,
-            sampling=payload.get("sampling", "random"),
-            interior_statistic=payload.get("interior_statistic", "median"),
-        )
+        values = {f.name: payload[key] for key, f in known.items() if key in payload}
+        if values.get("mode") == "sparse":
+            values.setdefault("tau", DEFAULT_TAU)
+        return cls(**values)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
@@ -193,18 +180,8 @@ class ExperimentSpec:
         return cls.from_dict(payload)
 
     def to_dict(self) -> dict:
-        return {
-            "manifold": self.manifold,
-            "function": self.function,
-            "N_list": list(self.n_list),
-            "epsilon_list": list(self.epsilon_list),
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "mode": self.mode,
-            "tau": self.tau,
-            "sampling": self.sampling,
-            "interior_statistic": self.interior_statistic,
-        }
+        payload = {key: getattr(self, f.name) for key, f in _json_fields().items()}
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in payload.items()}
 
     def with_overrides(self, master_seed=None, mode=None, tau=None) -> "ExperimentSpec":
         """This spec with the given fields replaced, rebuilt through from_dict.
@@ -545,42 +522,46 @@ def _pool_width(parallelism: int, n_jobs: int) -> int:
     return width if hasattr(os, "fork") else 1
 
 
-def _helper(conn, inherited) -> None:
-    """Run the cells that arrive on conn, in order, until the other end closes.
+def _helper(conn, inherited, spec: ExperimentSpec, cells: list) -> None:
+    """Run the cells whose indices arrive on conn, in order, until the other end closes.
 
-    inherited holds this process's copies of the caller's pipe ends, closed
-    here so that each pipe ends when the caller closes its end.
+    spec and cells are this process's copies from the fork, so the caller
+    sends only indices. inherited holds the copies of the caller's pipe
+    ends, closed here so that each pipe ends when the caller closes its end.
     """
     for end in inherited:
         end.close()
     try:
         while True:
-            conn.send(_run_cell(*conn.recv()))
+            conn.send(_run_cell(spec, *cells[conn.recv()]))
     except (EOFError, OSError):
         return
 
 
-def _run_with_helpers(spec: ExperimentSpec, cells: list, helpers: int) -> list:
+def _run_cells(spec: ExperimentSpec, cells: list, helpers: int) -> list:
     """Every cell's outcome, in cell order, from this process and `helpers` forked helpers.
 
     This process keeps each helper two cells ahead over its own pipe, then
-    runs the next cell itself. A helper runs its cells in the order sent,
-    so when one dies (say, killed for memory) the first cell it held is the
-    one it died in: that cell is a "resource" failure, and the cells queued
-    behind it go back to the other workers.
+    runs the next cell itself; with no helper it runs every cell in turn.
+    A helper runs its cells in the order sent, so when one dies (say,
+    killed for memory) the first cell it held is the one it died in: that
+    cell is a "resource" failure, and the cells queued behind it go back to
+    the other workers.
     """
-    # imported here, so that a serial run and the CLI's start-up never load them
-    import multiprocessing
-    from multiprocessing.connection import wait
+    if helpers:
+        # imported here, so that a serial run and the CLI's start-up never load them
+        import multiprocessing
+        from multiprocessing.connection import wait
 
-    fork = multiprocessing.get_context("fork")
+        fork = multiprocessing.get_context("fork")
     outcomes = [None] * len(cells)
     todo = deque(range(len(cells)))
     live = {}  # our end of a helper's pipe -> (the helper, indices of the cells it holds)
     try:
         for _ in range(helpers):
             ours, theirs = fork.Pipe()
-            proc = fork.Process(target=_helper, args=(theirs, [ours, *live]), daemon=True)
+            inherited = [ours, *live]
+            proc = fork.Process(target=_helper, args=(theirs, inherited, spec, cells), daemon=True)
             proc.start()
             theirs.close()
             live[ours] = (proc, deque())
@@ -591,7 +572,7 @@ def _run_with_helpers(spec: ExperimentSpec, cells: list, helpers: int) -> list:
                         outcomes[held[0]] = conn.recv()  # held until received
                         held.popleft()
                     while todo and len(held) < 2:
-                        conn.send((spec, *cells[todo[0]]))
+                        conn.send(todo[0])
                         held.append(todo.popleft())
                 except (EOFError, OSError):  # the helper is gone
                     del live[conn]
@@ -648,10 +629,7 @@ def sweep(spec: ExperimentSpec, parallelism: int = 1) -> SweepResult:
         spec.sampling,
     )
     width = _pool_width(parallelism, len(cells))
-    if width == 1:
-        outcomes = [_run_cell(spec, *c) for c in cells]
-    else:
-        outcomes = _run_with_helpers(spec, cells, width - 1)
+    outcomes = _run_cells(spec, cells, width - 1)
     rows = tuple(o for o in outcomes if isinstance(o, CellResult))
     failures = tuple(o for o in outcomes if isinstance(o, CellFailure))
     return SweepResult(rows=rows, failures=failures, pool_width=width)

@@ -35,6 +35,9 @@ __all__ = ["InvariantReport", "run_invariant_suite", "VERIFY_MAX_N"]
 # dense mode enforced for the verify command
 VERIFY_MAX_N = 1000
 
+# Kernel bandwidth of the random clouds, the one the tolerances below were set for.
+_EPSILON = 1.0
+
 # Largest floating-point residual each identity passes with (adjointness is
 # relative to the larger of its two inner products, the others absolute).
 _TOLERANCES = {
@@ -69,7 +72,7 @@ def _divgrad_matrix(w: np.ndarray, d: np.ndarray) -> np.ndarray:
     return out
 
 
-def run_invariant_suite(n: int = 100, n_seeds: int = 5, epsilon: float = 1.0) -> list[InvariantReport]:
+def run_invariant_suite(n: int = 100, n_seeds: int = 5) -> list[InvariantReport]:
     """Worst residual per invariant over `n_seeds` random Gaussian clouds in R^3."""
     if n > VERIFY_MAX_N:
         raise ValueError(f"verification runs dense; N must be <= {VERIFY_MAX_N}, got {n}")
@@ -81,7 +84,7 @@ def run_invariant_suite(n: int = 100, n_seeds: int = 5, epsilon: float = 1.0) ->
     for s in range(n_seeds):
         rng = np.random.default_rng(s)
         cloud = PointCloud(points=rng.standard_normal((n, 3)))
-        kernel = KernelConfig(epsilon=epsilon)
+        kernel = KernelConfig(epsilon=_EPSILON)
         w = build_weights(cloud, kernel)
         d = degrees(w)
         f = rng.standard_normal(n)

@@ -831,3 +831,21 @@ class TestArgumentHandling:
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
+
+    def test_serial_run_leaves_multiprocessing_out(self, spec_file, tmp_path):
+        # Only a sweep that forks helpers imports multiprocessing, so neither
+        # start-up nor a K=1 run pays for it. A fresh interpreter, as above.
+        import graph_calculus
+
+        src = str(Path(graph_calculus.__file__).resolve().parents[1])
+        argv = ["run", "--config", str(spec_file), "--out", str(tmp_path / "out"), "--parallelism", "1"]
+        probe = (
+            "import sys, graph_calculus.cli; "
+            f"code = graph_calculus.cli.main({argv!r}); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "0 []"

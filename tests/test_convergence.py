@@ -39,14 +39,14 @@ def oracle():
 
 @pytest.fixture
 def recording_pool(monkeypatch):
-    """Run the cells of a sweep with helpers serially here; yields the helper counts asked for."""
+    """Run the cells of a sweep serially here; yields the helper counts asked for."""
     helpers = []
 
     def serial(spec, cells, n_helpers):
         helpers.append(n_helpers)
         return [conv._run_cell(spec, *c) for c in cells]
 
-    monkeypatch.setattr(conv, "_run_with_helpers", serial)
+    monkeypatch.setattr(conv, "_run_cells", serial)
     return helpers
 
 
@@ -80,10 +80,13 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="unknown spec fields: bogus"):
             ExperimentSpec.from_dict(self.minimal(bogus=1))
 
-    def test_missing_field_rejected(self):
+    @pytest.mark.parametrize(
+        "key", ["manifold", "function", "N_list", "epsilon_list", "trials", "master_seed"]
+    )
+    def test_missing_field_rejected(self, key):
         payload = self.minimal()
-        del payload["trials"]
-        with pytest.raises(ValueError, match="missing spec fields: trials"):
+        del payload[key]
+        with pytest.raises(ValueError, match=f"missing spec fields: {key}$"):
             ExperimentSpec.from_dict(payload)
 
     def test_unknown_manifold_lists_ids(self):
@@ -136,6 +139,23 @@ class TestExperimentSpec:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec.to_dict()))
         assert ExperimentSpec.from_json(path) == spec
+
+    def test_to_dict_keys_in_field_order(self):
+        payload = ExperimentSpec.from_dict(self.minimal(N_list=[100, 200])).to_dict()
+        assert list(payload) == [
+            "manifold",
+            "function",
+            "N_list",
+            "epsilon_list",
+            "trials",
+            "master_seed",
+            "mode",
+            "tau",
+            "sampling",
+            "interior_statistic",
+        ]
+        # lists, not the spec's tuples: a tuple never equals a list
+        assert (payload["N_list"], payload["epsilon_list"]) == ([100, 200], [0.05])
 
     def test_from_json_invalid(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -565,12 +585,12 @@ class TestSweep:
     )
     def test_pool_width(self, monkeypatch, recording_pool, parallelism, cpus, cells, width):
         # min(K, cells, usable CPUs) workers, read once: this process and
-        # width - 1 helpers; a width of 1 runs serially
+        # width - 1 helpers; a width of 1 runs the same loop with no helper
         lookups = []
         monkeypatch.setattr(conv, "_usable_cpus", lambda: lookups.append(cpus) or cpus)
         spec = self.base_spec(n_list=(30,), epsilon_list=(0.05,), trials=cells)
         result = sweep(spec, parallelism=parallelism)
-        assert recording_pool == ([] if width == 1 else [width - 1])
+        assert recording_pool == [width - 1]
         assert result.pool_width == width
         assert len(lookups) == 1
         assert [r.trial for r in result.rows] == list(range(cells))
@@ -587,7 +607,7 @@ class TestSweep:
         monkeypatch.delattr(conv.os, "fork", raising=False)
         spec = self.base_spec(n_list=(30,), epsilon_list=(0.05,), trials=3)
         result = sweep(spec, parallelism=4)
-        assert recording_pool == []
+        assert recording_pool == [0]
         assert result.pool_width == 1
         assert [r.trial for r in result.rows] == [0, 1, 2]
 
