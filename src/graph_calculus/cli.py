@@ -39,6 +39,7 @@ from .csvio import (
     read_matrix_csv,
     read_results_csv,
     read_vector_csv,
+    record_dict,
     results_csv_text,
     write_matrix_csv,
     write_text_atomic,
@@ -187,6 +188,10 @@ def _prepare_out_dir(out) -> Path:
     return out_dir
 
 
+# The CellResult fields that summary.json lists for each cell; the rest are in results.csv.
+_SUMMARY_CELL_FIELDS = ("n", "epsilon", "trial", "seed", "regime", "wall_ms")
+
+
 def _cmd_run(args) -> int:
     if args.parallelism < 1:
         raise ValueError(f"--parallelism must be >= 1, got {args.parallelism}")
@@ -210,28 +215,8 @@ def _cmd_run(args) -> int:
         "package_version": __version__,
         "n_cells": len(result.rows) + len(result.failures),
         "n_failed": len(result.failures),
-        "failures": [
-            {
-                "N": f.n,
-                "epsilon": f.epsilon,
-                "trial": f.trial,
-                "seed": f.seed,
-                "kind": f.kind,
-                "message": f.message,
-            }
-            for f in result.failures
-        ],
-        "cells": [
-            {
-                "N": r.n,
-                "epsilon": r.epsilon,
-                "trial": r.trial,
-                "seed": r.seed,
-                "regime": r.regime,
-                "wall_ms": r.wall_ms,
-            }
-            for r in result.rows
-        ],
+        "failures": [record_dict(f) for f in result.failures],
+        "cells": [record_dict(r, _SUMMARY_CELL_FIELDS) for r in result.rows],
         "rate_fits": sweep_rate_fits(result.rows, spec.interior_statistic),
         "threads": {"cell_pool": result.pool_width},
         "total_wall_ms": sum(r.wall_ms for r in result.rows),
@@ -274,22 +259,7 @@ def _cmd_degree_check(args) -> int:
         sampling=args.sampling,
         tau=args.tau,
     )
-    payload = {
-        "manifold": res.manifold,
-        "N": res.n,
-        "epsilon": res.epsilon,
-        "seed": res.seed,
-        "sampling": res.sampling,
-        "ratio_mean": res.stats.ratio_mean,
-        "ratio_dev": res.stats.ratio_dev,
-        "residual_mean": res.stats.residual_mean,
-        "residual_dev": res.stats.residual_dev,
-        "curvature_prediction_mean": res.stats.prediction_mean,
-        "self_loop_share": res.stats.self_loop_share,
-        "regime": res.regime,
-        "low_neighbor_warning": res.low_neighbor_warning,
-    }
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(record_dict(res), indent=2))
     return EXIT_OK
 
 

@@ -31,6 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .csvio import output_key, record_dict
 from .graph_core import KernelConfig, PointCloud, degrees_from_cloud, laplacian_from_cloud
 from .manifolds import (
     ManifoldDescriptor,
@@ -99,15 +100,6 @@ def _number(convert, value):
     return convert(value)
 
 
-# The JSON key of each spec field whose key is not the field's name.
-_JSON_KEYS = {"n_list": "N_list"}
-
-
-def _json_fields() -> dict:
-    """Each field of ExperimentSpec under its JSON key, in field order."""
-    return {_JSON_KEYS.get(f.name, f.name): f for f in fields(ExperimentSpec)}
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Declarative sweep over (N, epsilon, trial seeds) for one manifold/function."""
@@ -136,8 +128,7 @@ class ExperimentSpec:
             try:
                 object.__setattr__(self, field, convert(value))
             except (TypeError, ValueError):
-                name = _JSON_KEYS.get(field, field)
-                raise ValueError(f"{name} has the wrong type: {value!r}") from None
+                raise ValueError(f"{output_key(field)} has the wrong type: {value!r}") from None
         if not self.n_list:
             raise ValueError("N_list must be non-empty")
         if not self.epsilon_list:
@@ -158,7 +149,7 @@ class ExperimentSpec:
     def from_dict(cls, payload: dict) -> "ExperimentSpec":
         if not isinstance(payload, dict):
             raise ValueError("experiment spec must be a JSON object")
-        known = _json_fields()
+        known = {output_key(f.name): f for f in fields(cls)}
         unknown = set(payload) - set(known)
         if unknown:
             raise ValueError(f"unknown spec fields: {', '.join(sorted(unknown))}")
@@ -180,8 +171,7 @@ class ExperimentSpec:
         return cls.from_dict(payload)
 
     def to_dict(self) -> dict:
-        payload = {key: getattr(self, f.name) for key, f in _json_fields().items()}
-        return {key: list(v) if isinstance(v, tuple) else v for key, v in payload.items()}
+        return record_dict(self)
 
     def with_overrides(self, master_seed=None, mode=None, tau=None) -> "ExperimentSpec":
         """This spec with the given fields replaced, rebuilt through from_dict.
@@ -452,8 +442,8 @@ class CellFailure:
     epsilon: float
     trial: int
     seed: int
-    message: str
     kind: str  # "resource" (out of memory) or "numerical"
+    message: str
 
 
 @dataclass(frozen=True)
@@ -465,7 +455,7 @@ class SweepResult:
 
 def _cell_failure(n: int, epsilon: float, trial: int, seed: int, kind: str, message: str):
     log.warning("cell N=%d eps=%g trial=%d failed (%s): %s", n, epsilon, trial, kind, message)
-    return CellFailure(n=n, epsilon=epsilon, trial=trial, seed=seed, message=message, kind=kind)
+    return CellFailure(n=n, epsilon=epsilon, trial=trial, seed=seed, kind=kind, message=message)
 
 
 def _run_cell(spec: ExperimentSpec, n: int, epsilon: float, trial: int):
@@ -671,11 +661,6 @@ def fit_rate_xy(x: Sequence[float], y: Sequence[float]) -> RateFit:
     return RateFit(slope=float(slope), intercept=float(intercept), r_squared=float(r**2))
 
 
-_AXIS_GETTERS = {
-    "N": lambda row: row.n,
-    "epsilon": lambda row: row.epsilon,
-}
-
 def sweep_rate_fits(rows: Sequence[CellResult], interior_statistic: str) -> list[dict]:
     """Every log-log rate fit a sweep's result table supports, as plain dicts.
 
@@ -685,12 +670,11 @@ def sweep_rate_fits(rows: Sequence[CellResult], interior_statistic: str) -> list
     """
     fits = []
     responses = dict.fromkeys(("err_rel_median", f"err_abs_{interior_statistic}"))
-    for swept, group in (("N", "epsilon"), ("epsilon", "N")):
-        x, key = _AXIS_GETTERS[swept], _AXIS_GETTERS[group]
+    for swept, group in (("n", "epsilon"), ("epsilon", "n")):
         for response in responses:
-            for value in sorted({key(r) for r in rows}):
-                cells = [r for r in rows if key(r) == value]
-                xs = [x(r) for r in cells]
+            for value in sorted({getattr(r, group) for r in rows}):
+                cells = [r for r in rows if getattr(r, group) == value]
+                xs = [getattr(r, swept) for r in cells]
                 ys = [getattr(r, response) for r in cells]
                 try:
                     fit = fit_rate_xy(xs, ys)
@@ -698,13 +682,11 @@ def sweep_rate_fits(rows: Sequence[CellResult], interior_statistic: str) -> list
                     continue
                 fits.append(
                     {
-                        "swept_axis": swept,
-                        "group_by": group,
+                        "swept_axis": output_key(swept),
+                        "group_by": output_key(group),
                         "group_value": value,
                         "response": response,
-                        "slope": fit.slope,
-                        "intercept": fit.intercept,
-                        "r_squared": fit.r_squared,
+                        **record_dict(fit),
                     }
                 )
     return fits

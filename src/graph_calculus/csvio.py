@@ -1,15 +1,18 @@
-"""CSV and file persistence: atomic writes, 17-significant-digit floats."""
+"""Output records and file persistence: one key map, atomic writes, 17-significant-digit floats."""
 
 from __future__ import annotations
 
 import os
 import secrets
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
     "RESULTS_HEADER",
+    "output_key",
+    "record_dict",
     "format_float",
     "write_text_atomic",
     "results_csv_text",
@@ -20,13 +23,30 @@ __all__ = [
     "read_results_csv",
 ]
 
-# Fixed result-table schema. wall_ms is 0 unless timings were requested:
-# results.csv is byte-reproducible by default, and measured wall times
-# (which never are) live in summary.json.
-RESULTS_HEADER = (
-    "manifold,function,N,epsilon,seed,mode,err_abs_median,err_abs_mean,"
-    "err_abs_max,err_rel_median,degree_ratio_mean,degree_ratio_dev,wall_ms"
-)
+# The output key (JSON key or CSV column) of each record field whose key is
+# not the field's name. Every output record is written through this map.
+_OUTPUT_KEYS = {"n": "N", "n_list": "N_list", "prediction_mean": "curvature_prediction_mean"}
+
+
+def output_key(name: str) -> str:
+    """The output key of the record field `name`."""
+    return _OUTPUT_KEYS.get(name, name)
+
+
+def record_dict(record, names=None) -> dict:
+    """A dataclass record's fields under their output keys, in field order.
+
+    Given names, only those fields, in that order. A field that holds a
+    record is inlined in its place, and tuples become lists, as JSON has them.
+    """
+    out = {}
+    for name in names or [f.name for f in fields(record)]:
+        value = getattr(record, name)
+        if is_dataclass(value):
+            out.update(record_dict(value))
+        else:
+            out[output_key(name)] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 def format_float(x: float) -> str:
@@ -52,27 +72,27 @@ def write_text_atomic(path, text: str) -> None:
         raise
 
 
+# Fixed result-table schema, as CellResult field names. wall_ms is 0 unless
+# timings were requested: results.csv is byte-reproducible by default, and
+# measured wall times (which never are) live in summary.json.
+_RESULTS_COLUMNS = (
+    "manifold", "function", "n", "epsilon", "seed", "mode", "err_abs_median", "err_abs_mean",
+    "err_abs_max", "err_rel_median", "degree_ratio_mean", "degree_ratio_dev", "wall_ms",
+)
+RESULTS_HEADER = ",".join(map(output_key, _RESULTS_COLUMNS))
+
+
+def _csv_field(value) -> str:
+    return format_float(value) if isinstance(value, float) else str(value)
+
+
 def results_csv_text(rows, include_timings: bool = False) -> str:
     lines = [RESULTS_HEADER]
     for r in rows:
-        wall = format_float(r.wall_ms) if include_timings else "0"
         lines.append(
             ",".join(
-                [
-                    r.manifold,
-                    r.function,
-                    str(r.n),
-                    format_float(r.epsilon),
-                    str(r.seed),
-                    r.mode,
-                    format_float(r.err_abs_median),
-                    format_float(r.err_abs_mean),
-                    format_float(r.err_abs_max),
-                    format_float(r.err_rel_median),
-                    format_float(r.degree_ratio_mean),
-                    format_float(r.degree_ratio_dev),
-                    wall,
-                ]
+                "0" if name == "wall_ms" and not include_timings else _csv_field(getattr(r, name))
+                for name in _RESULTS_COLUMNS
             )
         )
     return "\n".join(lines) + "\n"
@@ -106,8 +126,7 @@ def write_vector_csv(path, values) -> None:
 
 
 def read_vector_csv(path) -> np.ndarray:
-    vec = np.loadtxt(path, delimiter=",", comments="#", ndmin=1)
-    return np.asarray(vec, dtype=np.float64).ravel()
+    return read_matrix_csv(path).ravel()
 
 
 def write_matrix_csv(path, matrix) -> None:
@@ -119,4 +138,11 @@ def write_matrix_csv(path, matrix) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    return np.asarray(np.loadtxt(path, delimiter=",", comments="#", ndmin=2), dtype=np.float64)
+    """A numeric CSV file as a 2-d float64 array, rows starting with '#' skipped.
+
+    A file that does not parse raises ValueError naming the file.
+    """
+    try:
+        return np.loadtxt(path, delimiter=",", comments="#", ndmin=2, dtype=np.float64)
+    except ValueError as exc:
+        raise ValueError(f"could not parse CSV file {path}: {exc}") from exc

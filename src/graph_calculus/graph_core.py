@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import read_matrix_csv
+
 __all__ = [
     "DENSE_LIMIT",
     "PointCloud",
@@ -79,11 +81,7 @@ class PointCloud:
     @classmethod
     def from_csv(cls, path) -> "PointCloud":
         """Load a cloud from CSV: one row per point, rows starting with '#' skipped."""
-        try:
-            pts = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"could not parse point cloud CSV {path}: {exc}") from exc
-        return cls(points=pts)
+        return cls(points=read_matrix_csv(path))
 
 
 @dataclass(frozen=True)

@@ -205,6 +205,29 @@ class TestRun:
         assert (failure["N"], failure["kind"], failure["message"]) == (80, "resource", "MemoryError")
         assert [c["N"] for c in summary["cells"]] == [40]
 
+    def test_summary_key_order(self, tmp_path, monkeypatch):
+        # the records' field order is the keys' order
+        path = write_spec(tmp_path, N_list=[40, 80], epsilon_list=[0.1], trials=1)
+        real = conv.lemma_check
+
+        def flaky(manifold, fn_id, n, epsilon, **kwargs):
+            if n == 40:
+                raise RuntimeError("synthetic cell blow-up")
+            return real(manifold, fn_id, n, epsilon, **kwargs)
+
+        monkeypatch.setattr(conv, "lemma_check", flaky)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert list(summary) == [
+            "schema_version", "spec", "package_version", "n_cells", "n_failed", "failures",
+            "cells", "rate_fits", "threads", "total_wall_ms", "peak_rss_mb", "results_csv_sha256",
+        ]
+        (failure,) = summary["failures"]
+        assert list(failure) == ["N", "epsilon", "trial", "seed", "kind", "message"]
+        (cell,) = summary["cells"]
+        assert list(cell) == ["N", "epsilon", "trial", "seed", "regime", "wall_ms"]
+
     def test_killed_helper_is_a_resource_failure(self, tmp_path, monkeypatch, capsys, time_limit):
         path = write_spec(tmp_path)
         real, me = conv.lemma_check, os.getpid()
@@ -419,6 +442,14 @@ class TestDegreeCheckCommand:
         assert payload["manifold"] == "circle"
         assert {"ratio_mean", "residual_mean", "self_loop_share", "regime"} <= set(payload)
 
+    def test_key_order(self, capsys):
+        assert main(["degree-check", "--manifold", "circle", "--n", "50", "--epsilon", "0.05"]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == [
+            "manifold", "N", "epsilon", "seed", "sampling", "ratio_mean", "ratio_dev",
+            "residual_mean", "residual_dev", "curvature_prediction_mean", "self_loop_share",
+            "regime", "low_neighbor_warning",
+        ]
+
     def test_unknown_manifold(self, capsys):
         code = main(["degree-check", "--manifold", "x", "--n", "10", "--epsilon", "0.1"])
         assert code == 1
@@ -493,6 +524,20 @@ class TestOperatorCommands:
         )
         assert code == 0
         np.testing.assert_array_equal(read_vector_csv(out), divergence(field, w, d))
+
+    @pytest.mark.parametrize("command, flag", [("grad", "--function"), ("div", "--field")])
+    def test_unparsable_input_names_its_file(self, graph_inputs, tmp_path, capsys, command, flag):
+        cloud_csv = graph_inputs[0]
+        bad = tmp_path / "bad_input.csv"
+        bad.write_text("x,1.0\n")
+        out = tmp_path / "out.csv"
+        code = main(
+            [command, "--cloud", str(cloud_csv), "--epsilon", "1.0", flag, str(bad), "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: could not parse CSV file {bad}: ")
+        assert not out.exists()
 
     def test_laplacian_vector_and_matrix(self, graph_inputs, tmp_path):
         cloud_csv, f_csv, f, w, d = graph_inputs
