@@ -23,19 +23,12 @@ import secrets
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .calculus import divergence, gradient, laplacian_matrix
-from .convergence import (
-    ExperimentSpec,
-    degree_check,
-    fit_rate_xy,
-    sweep,
-    sweep_rate_fits,
-)
+from .convergence import ExperimentSpec, RateFit, degree_check, grouped_rate_fits, sweep
 from .csvio import (
     format_float,
+    output_key,
     read_matrix_csv,
     read_results_csv,
     read_vector_csv,
@@ -209,6 +202,17 @@ def _cmd_run(args) -> int:
     csv_text = results_csv_text(result.rows, include_timings=args.timings)
     write_text_atomic(out_dir / "results.csv", csv_text)
 
+    # N by epsilon, then epsilon by N, each for err_rel_median, then err_abs_<statistic>
+    rate_fits = []
+    for swept, group in (("n", "epsilon"), ("epsilon", "n")):
+        for response in ("err_rel_median", f"err_abs_{spec.interior_statistic}"):
+            columns = ([getattr(r, name) for r in result.rows] for name in (group, swept, response))
+            axes = {"swept_axis": output_key(swept), "group_by": output_key(group)}
+            rate_fits += [
+                {**axes, "group_value": value, "response": response, **record_dict(fit)}
+                for value, _, fit in grouped_rate_fits(*columns)
+                if isinstance(fit, RateFit)
+            ]
     summary = {
         "schema_version": 1,
         "spec": spec.to_dict(),
@@ -217,7 +221,7 @@ def _cmd_run(args) -> int:
         "n_failed": len(result.failures),
         "failures": [record_dict(f) for f in result.failures],
         "cells": [record_dict(r, _SUMMARY_CELL_FIELDS) for r in result.rows],
-        "rate_fits": sweep_rate_fits(result.rows, spec.interior_statistic),
+        "rate_fits": rate_fits,
         "threads": {"cell_pool": result.pool_width},
         "total_wall_ms": sum(r.wall_ms for r in result.rows),
         "peak_rss_mb": _peak_rss_mb(),
@@ -332,29 +336,23 @@ def _cmd_plot_data(args) -> int:
             raise ValueError(f"column {col!r} is not numeric")
     out_dir = _prepare_out_dir(args.out)
 
-    groups: dict = {}
-    for row in rows:
-        groups.setdefault(_group_value(row[args.group_by]), []).append(row)
-
+    groups = grouped_rate_fits(
+        [_group_value(row[args.group_by]) for row in rows],
+        [float(row[args.x_axis]) for row in rows],
+        [float(row[args.y_column]) for row in rows],
+    )
     summary_lines = []
-    # numbers in value order, then any text; str() of a number is its
-    # shortest round-trip form (0.04, not 0.040000000000000001)
-    for gval in sorted(groups, key=lambda v: (isinstance(v, str), v)):
-        grp = sorted(groups[gval], key=lambda r: float(r[args.x_axis]))
+    # str() of a number is its shortest round-trip form (0.04, not 0.040000000000000001)
+    for gval, positions, fit in groups:
         name = f"{args.y_column}_vs_{args.x_axis}__{args.group_by}_{gval}.csv"
         lines = [f"{args.x_axis},{args.y_column}"]
-        lines += [f"{r[args.x_axis]},{r[args.y_column]}" for r in grp]
+        lines += [f"{rows[i][args.x_axis]},{rows[i][args.y_column]}" for i in positions]
         write_text_atomic(out_dir / name, "\n".join(lines) + "\n")
-        xs = np.array([float(r[args.x_axis]) for r in grp])
-        ys = np.array([float(r[args.y_column]) for r in grp])
-        try:
-            fit = fit_rate_xy(xs, ys)
-            summary_lines.append(
-                f"{args.group_by}={gval}: slope={format_float(fit.slope)} "
-                f"intercept={format_float(fit.intercept)} r_squared={format_float(fit.r_squared)}"
-            )
-        except ValueError as exc:
-            summary_lines.append(f"{args.group_by}={gval}: no rate fit ({exc})")
+        if isinstance(fit, RateFit):
+            fit_text = " ".join(f"{key}={format_float(v)}" for key, v in record_dict(fit).items())
+        else:
+            fit_text = f"no rate fit ({fit})"
+        summary_lines.append(f"{args.group_by}={gval}: {fit_text}")
     write_text_atomic(out_dir / "series_summary.txt", "\n".join(summary_lines) + "\n")
     print(f"wrote {len(groups)} series file(s) to {out_dir}")
     return EXIT_OK

@@ -56,7 +56,7 @@ __all__ = [
     "degree_check",
     "sweep",
     "fit_rate_xy",
-    "sweep_rate_fits",
+    "grouped_rate_fits",
     "classify_regime",
 ]
 
@@ -661,32 +661,25 @@ def fit_rate_xy(x: Sequence[float], y: Sequence[float]) -> RateFit:
     return RateFit(slope=float(slope), intercept=float(intercept), r_squared=float(r**2))
 
 
-def sweep_rate_fits(rows: Sequence[CellResult], interior_statistic: str) -> list[dict]:
-    """Every log-log rate fit a sweep's result table supports, as plain dicts.
+def grouped_rate_fits(groups: Sequence, xs: Sequence[float], ys: Sequence[float]) -> list[tuple]:
+    """The log-log rate fit of ys against xs within each group of rows.
 
-    Fits err_rel_median and err_abs_<interior_statistic> along N within each
-    epsilon, then along epsilon within each N. A group with fewer than 3
-    distinct swept values or a nonpositive response has no fit.
+    One (value, positions, fit) per distinct value of groups: numbers in
+    value order, then any text; the positions of the group's rows, ordered
+    by x with a stable sort; and fit_rate_xy's RateFit over those rows, or
+    the ValueError it raised. Fitting in x order keeps a fit independent
+    of the order the rows came in.
     """
-    fits = []
-    responses = dict.fromkeys(("err_rel_median", f"err_abs_{interior_statistic}"))
-    for swept, group in (("n", "epsilon"), ("epsilon", "n")):
-        for response in responses:
-            for value in sorted({getattr(r, group) for r in rows}):
-                cells = [r for r in rows if getattr(r, group) == value]
-                xs = [getattr(r, swept) for r in cells]
-                ys = [getattr(r, response) for r in cells]
-                try:
-                    fit = fit_rate_xy(xs, ys)
-                except ValueError:
-                    continue
-                fits.append(
-                    {
-                        "swept_axis": output_key(swept),
-                        "group_by": output_key(group),
-                        "group_value": value,
-                        "response": response,
-                        **record_dict(fit),
-                    }
-                )
-    return fits
+    positions: dict = {}
+    for i in sorted(range(len(groups)), key=lambda i: xs[i]):
+        positions.setdefault(groups[i], []).append(i)
+    out = []
+    for value in sorted(positions, key=lambda v: (isinstance(v, str), v)):
+        rows = positions[value]
+        try:
+            fit = fit_rate_xy([xs[i] for i in rows], [ys[i] for i in rows])
+        except ValueError as exc:
+            # without its traceback, which would tie this frame and out into a reference cycle
+            fit = exc.with_traceback(None)
+        out.append((value, rows, fit))
+    return out

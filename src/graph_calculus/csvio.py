@@ -25,7 +25,9 @@ __all__ = [
 
 # The output key (JSON key or CSV column) of each record field whose key is
 # not the field's name. Every output record is written through this map.
-_OUTPUT_KEYS = {"n": "N", "n_list": "N_list", "prediction_mean": "curvature_prediction_mean"}
+_OUTPUT_KEYS = {
+    "n": "N", "n_list": "N_list", "prediction_mean": "curvature_prediction_mean", "name": "id",
+}
 
 
 def output_key(name: str) -> str:
@@ -140,9 +142,15 @@ def write_matrix_csv(path, matrix) -> None:
 def read_matrix_csv(path) -> np.ndarray:
     """A numeric CSV file as a 2-d float64 array, rows starting with '#' skipped.
 
-    A file that does not parse raises ValueError naming the file.
+    A file that does not parse, or holds no data row, raises ValueError
+    naming the file.
     """
     try:
-        return np.loadtxt(path, delimiter=",", comments="#", ndmin=2, dtype=np.float64)
+        with open(path, encoding="utf-8") as fh:
+            # np.loadtxt only warns on a file without data, and returns an empty array
+            if not any(line.split("#", 1)[0].strip() for line in fh):
+                raise ValueError("no data rows")
+            fh.seek(0)
+            return np.loadtxt(fh, delimiter=",", comments="#", ndmin=2, dtype=np.float64)
     except ValueError as exc:
         raise ValueError(f"could not parse CSV file {path}: {exc}") from exc

@@ -28,6 +28,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from .csvio import record_dict
 from .graph_core import PointCloud
 
 __all__ = [
@@ -291,16 +292,10 @@ def eval_pair(manifold: ManifoldDescriptor | str, fn_id: str, cloud: PointCloud)
 
 def registry_payload() -> list[dict]:
     """JSON-ready registry listing (id, dims, volume, function ids)."""
-    out = []
-    for name in manifold_names():
-        m = MANIFOLDS[name]
-        out.append(
-            {
-                "id": m.name,
-                "intrinsic_dim": m.intrinsic_dim,
-                "ambient_dim": m.ambient_dim,
-                "volume": m.volume,
-                "functions": sorted(m.functions),
-            }
-        )
-    return out
+    return [
+        {
+            **record_dict(m, ("name", "intrinsic_dim", "ambient_dim", "volume")),
+            "functions": sorted(m.functions),
+        }
+        for m in map(MANIFOLDS.get, manifold_names())
+    ]

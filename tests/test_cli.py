@@ -228,6 +228,26 @@ class TestRun:
         (cell,) = summary["cells"]
         assert list(cell) == ["N", "epsilon", "trial", "seed", "regime", "wall_ms"]
 
+    @pytest.mark.parametrize(
+        "epsilon_list, fitted_eps, fitted_n",
+        [([0.2, 0.1, 0.05], [0.05, 0.1, 0.2], [40, 80, 160]), ([0.1, 0.05], [0.05, 0.1], [])],
+        ids=["both-axes", "two-eps"],
+    )
+    def test_rate_fits_order_and_keys(self, tmp_path, epsilon_list, fitted_eps, fitted_n):
+        # N by epsilon, then epsilon by N, each err_rel_median then err_abs_<statistic>,
+        # groups in value order; two epsilon values are too few for a fit along epsilon
+        path = write_spec(tmp_path, epsilon_list=epsilon_list, trials=1, interior_statistic="max")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        fits = json.loads((out / "summary.json").read_text())["rate_fits"]
+        responses = ("err_rel_median", "err_abs_max")
+        assert [(f["swept_axis"], f["group_by"], f["group_value"], f["response"]) for f in fits] == [
+            ("N", "epsilon", eps, response) for response in responses for eps in fitted_eps
+        ] + [("epsilon", "N", n, response) for response in responses for n in fitted_n]
+        assert list(fits[0]) == [
+            "swept_axis", "group_by", "group_value", "response", "slope", "intercept", "r_squared",
+        ]
+
     def test_killed_helper_is_a_resource_failure(self, tmp_path, monkeypatch, capsys, time_limit):
         path = write_spec(tmp_path)
         real, me = conv.lemma_check, os.getpid()
@@ -539,6 +559,23 @@ class TestOperatorCommands:
         assert err.startswith(f"error: could not parse CSV file {bad}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["laplacian", "--cloud", "{bad}", "--matrix"], ""),
+            (["grad", "--cloud", "{cloud}", "--function", "{bad}"], "# a comment\n\n# and no data\n"),
+        ],
+        ids=["empty-cloud", "comment-only-function"],
+    )
+    def test_input_without_data_exits_1_naming_its_file(self, graph_inputs, tmp_path, capsys, argv, text):
+        bad = tmp_path / "no_data.csv"
+        bad.write_text(text)
+        out = tmp_path / "out.csv"
+        argv = [a.format(bad=bad, cloud=graph_inputs[0]) for a in argv]
+        assert main([*argv, "--epsilon", "1.0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: could not parse CSV file {bad}: no data rows\n"
+        assert not out.exists()
+
     def test_laplacian_vector_and_matrix(self, graph_inputs, tmp_path):
         cloud_csv, f_csv, f, w, d = graph_inputs
         out_v = tmp_path / "lap.csv"
@@ -639,6 +676,17 @@ class TestListingCommands:
         payload = json.loads(capsys.readouterr().out)
         assert [m["id"] for m in payload] == ["circle", "sphere", "torus"]
 
+    def test_list_manifolds_bytes(self, capsys):
+        assert main(["list-manifolds"]) == 0
+        registry = [
+            ("circle", 1, 2, 6.283185307179586, ["const_one", "cos_theta", "sin_3theta", "sin_theta"]),
+            ("sphere", 2, 3, 12.566370614359172, ["const_one", "coord_x", "coord_z", "harmonic_xy"]),
+            ("torus", 2, 4, 39.47841760435743, ["const_one", "sin_phi", "sin_theta", "sin_theta_cos_phi"]),
+        ]
+        keys = ("id", "intrinsic_dim", "ambient_dim", "volume", "functions")
+        expected = json.dumps([dict(zip(keys, entry)) for entry in registry], indent=2) + "\n"
+        assert capsys.readouterr().out == expected
+
     def test_list_functions_filtered(self, capsys):
         assert main(["list-functions", "--manifold", "sphere"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -698,6 +746,46 @@ class TestPlotData:
             ys = [float(r[y_idx]) for r in grp]
             fit = fit_rate_xy(np.array(xs), np.array(ys))
             assert f"slope={format_float(fit.slope)}" in line
+
+    def test_series_summary_is_pinned(self, tmp_path):
+        results = tmp_path / "results.csv"
+        results.write_text("N,epsilon,err_rel_median\n160,0.1,0.2\n40,0.1,0.5\n80,0.2,0.4\n80,0.1,0.3\n")
+        out = tmp_path / "p"
+        assert main(
+            ["plot-data", "--results", str(results), "--x", "N", "--y", "err_rel_median",
+             "--group-by", "epsilon", "--out", str(out)]
+        ) == 0
+        assert (out / "series_summary.txt").read_text() == (
+            "epsilon=0.1: slope=-0.6609640474436812 intercept=1.7275094280200678 "
+            "r_squared=0.9956120861450094\n"
+            "epsilon=0.2: no rate fit (rate fitting needs >= 3 distinct values on the swept axis)\n"
+        )
+        assert (out / "err_rel_median_vs_N__epsilon_0.1.csv").read_text() == (
+            "N,err_rel_median\n40,0.5\n80,0.3\n160,0.2\n"
+        )
+
+    def test_rate_fits_do_not_depend_on_list_order(self, tmp_path):
+        # summary.json fits each group in swept-value order, as plot-data does
+        fits = {}
+        for name, n_list, eps_list in (
+            ("up", [100, 200, 400, 800], [0.05, 0.1, 0.2]),
+            ("down", [800, 400, 200, 100], [0.2, 0.1, 0.05]),
+        ):
+            path = write_spec(tmp_path, f"{name}.json", N_list=n_list, epsilon_list=eps_list, trials=1)
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+            fits[name] = json.loads((tmp_path / name / "summary.json").read_text())["rate_fits"]
+        assert fits["down"] == fits["up"]
+        out = tmp_path / "plots"
+        assert main(
+            ["plot-data", "--results", str(tmp_path / "down" / "results.csv"), "--x", "N",
+             "--y", "err_rel_median", "--group-by", "epsilon", "--out", str(out)]
+        ) == 0
+        assert (out / "series_summary.txt").read_text().splitlines() == [
+            f"epsilon={f['group_value']}: slope={format_float(f['slope'])} "
+            f"intercept={format_float(f['intercept'])} r_squared={format_float(f['r_squared'])}"
+            for f in fits["down"]
+            if f["swept_axis"] == "N" and f["response"] == "err_rel_median"
+        ]
 
     def test_group_labels_are_shortest_numbers_in_value_order(self, tmp_path):
         path = write_spec(tmp_path, N_list=[500, 1000], epsilon_list=[0.01, 0.02, 0.04], trials=1)

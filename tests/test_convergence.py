@@ -26,7 +26,7 @@ from graph_calculus import (
     sweep,
 )
 from graph_calculus import cli
-from graph_calculus.convergence import CellResult, classify_regime
+from graph_calculus.convergence import classify_regime
 
 
 @pytest.fixture(scope="module")
@@ -279,80 +279,28 @@ class TestRateFit:
             self.assert_same_bits(fit.r_squared, ref.rvalue**2)
         assert math.isnan(fit_rate_xy(x, np.ones(4)).r_squared)
 
-    def test_rows_interface(self):
-        # one epsilon, so every fit runs along N; a single N per group has no epsilon fit
-        rows = []
-        for n in (10, 100, 1000):
-            rows.append(
-                CellResult(
-                    manifold="circle",
-                    function="sin_theta",
-                    n=n,
-                    epsilon=0.01,
-                    seed=0,
-                    mode="dense",
-                    err_abs_median=1.0 / n,
-                    err_abs_mean=1.0 / n,
-                    err_abs_max=1.0 / n,
-                    err_rel_median=5.0 / math.sqrt(n),
-                    degree_ratio_mean=0.0,
-                    degree_ratio_dev=0.0,
-                    wall_ms=1.0,
-                    trial=0,
-                    sampling="random",
-                    regime="bias",
-                )
-            )
-        fits = conv.sweep_rate_fits(rows, "max")
-        assert [(f["swept_axis"], f["response"]) for f in fits] == [
-            ("N", "err_rel_median"),
-            ("N", "err_abs_max"),
+    def test_grouped_rate_fits_groups_orders_and_skips(self):
+        # (group, x, y) rows out of order; group "few" holds x=10 twice
+        rows = [
+            ("few", 100, 1.0), (0.02, 1000, 0.0), (0.01, 1000, 1e-3), ("few", 10, 2.0), (0.02, 10, 0.0),
+            (0.01, 10, 1e-1), (0.02, 100, 0.0), (0.01, 100, 1e-2), ("few", 10, 3.0),
         ]
-        assert fits[0]["slope"] == pytest.approx(-0.5, abs=1e-12)
-        assert fits[1]["slope"] == pytest.approx(-1.0, abs=1e-12)
-
-    def test_sweep_rate_fits_groups_and_skips(self):
-        def row(n, eps, err_abs):
-            return CellResult(
-                manifold="circle",
-                function="sin_theta",
-                n=n,
-                epsilon=eps,
-                seed=0,
-                mode="dense",
-                err_abs_median=err_abs,
-                err_abs_mean=1.0,
-                err_abs_max=1.0,
-                err_rel_median=5.0 / math.sqrt(n),
-                degree_ratio_mean=0.0,
-                degree_ratio_dev=0.0,
-                wall_ms=1.0,
-                trial=0,
-                sampling="random",
-                regime="bias",
-            )
-
-        ns = (10, 100, 1000)
-        # eps=0.02 has a zero response, so its err_abs_median fit is skipped;
-        # two epsilon values are too few for any fit along epsilon
-        rows = [row(n, 0.01, 1.0 / n) for n in ns] + [row(n, 0.02, 0.0) for n in ns]
-        fits = conv.sweep_rate_fits(rows, "median")
-        assert [(f["group_value"], f["response"]) for f in fits] == [
-            (0.01, "err_rel_median"),
-            (0.02, "err_rel_median"),
-            (0.01, "err_abs_median"),
+        groups, xs, ys = (list(column) for column in zip(*rows))
+        out = conv.grouped_rate_fits(groups, xs, ys)
+        # numbers in value order, then text; each group's rows in x order, ties as given
+        assert [(value, positions) for value, positions, _ in out] == [
+            (0.01, [5, 7, 2]),
+            (0.02, [4, 6, 1]),
+            ("few", [3, 8, 0]),
         ]
-        assert all(f["swept_axis"] == "N" and f["group_by"] == "epsilon" for f in fits)
-        assert [f["slope"] for f in fits] == pytest.approx([-0.5, -0.5, -1.0], abs=1e-12)
-        assert list(fits[0]) == [
-            "swept_axis",
-            "group_by",
-            "group_value",
-            "response",
-            "slope",
-            "intercept",
-            "r_squared",
-        ]
+        (_, _, fit), (_, _, zero), (_, _, few) = out
+        assert fit == fit_rate_xy([10, 100, 1000], [1e-1, 1e-2, 1e-3])
+        assert fit.slope == pytest.approx(-1.0, abs=1e-12)
+        # a zero response or fewer than 3 distinct x: the ValueError in place of a fit
+        assert isinstance(zero, ValueError) and "positive" in str(zero)
+        assert isinstance(few, ValueError) and "3 distinct" in str(few)
+        # no traceback, so no frame is kept alive in a reference cycle
+        assert zero.__traceback__ is None and few.__traceback__ is None
 
 
 class TestLemmaCheck:
