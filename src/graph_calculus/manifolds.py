@@ -1,9 +1,11 @@
 """Built-in manifolds: uniform samplers, parameter grids, analytic ground truth.
 
 Three closed manifolds are registered, each with its m-dimensional volume,
-scalar curvature field S, and a registry of test functions carrying a
-closed-form Laplace-Beltrami image (div-grad convention, so the spectrum is
-nonpositive: on the circle, sin(k t) maps to -k^2 sin(k t)):
+scalar curvature field S, and a registry of test functions. Each test
+function is a Laplace-Beltrami eigenfunction stored with its eigenvalue, so
+its closed-form image is eigenvalue * f (div-grad convention, so the
+spectrum is nonpositive: on the circle sin(k t) maps to -k^2 sin(k t), and
+on the sphere a degree-l harmonic has eigenvalue -l(l+1)):
 
     circle  S^1 in R^2          m=1  vol=2*pi      S = 0
     sphere  unit S^2 in R^3     m=2  vol=4*pi      S = 2
@@ -47,16 +49,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Scalar function on a manifold with its closed-form Laplace-Beltrami image.
+    """A Laplace-Beltrami eigenfunction of a manifold, with its eigenvalue.
 
-    Both callables act on (N, n) ambient coordinate arrays and return (N,)
-    arrays. The registry is closed: adding functions is a code change, there
-    is no runtime expression parser.
+    eval acts on (N, n) ambient coordinate arrays and returns an (N,) array.
+    The registry is closed: adding functions is a code change, there is no
+    runtime expression parser.
     """
 
-    id: str
     eval: Callable[[np.ndarray], np.ndarray]
-    laplace_beltrami: Callable[[np.ndarray], np.ndarray]
+    eigenvalue: float
+
+    def laplace_beltrami(self, pts: np.ndarray) -> np.ndarray:
+        """The closed-form image Delta_M f = eigenvalue * f at the points."""
+        return self.eigenvalue * self.eval(pts)
 
 
 @dataclass(frozen=True)
@@ -131,64 +136,34 @@ def _zero(pts: np.ndarray) -> np.ndarray:
     return np.zeros(pts.shape[0], dtype=np.float64)
 
 
+_SIN_THETA = TestFunction(eval=lambda p: p[:, 1], eigenvalue=-1.0)
+_CONST_ONE = TestFunction(eval=_const(1.0), eigenvalue=0.0)
+
 _CIRCLE_FUNCTIONS = {
-    "sin_theta": TestFunction(
-        id="sin_theta",
-        eval=lambda p: p[:, 1],
-        laplace_beltrami=lambda p: -p[:, 1],
-    ),
-    "cos_theta": TestFunction(
-        id="cos_theta",
-        eval=lambda p: p[:, 0],
-        laplace_beltrami=lambda p: -p[:, 0],
-    ),
+    "sin_theta": _SIN_THETA,
+    "cos_theta": TestFunction(eval=lambda p: p[:, 0], eigenvalue=-1.0),
     # sin(3t) = 3 sin t - 4 sin^3 t, written in ambient coordinates
     "sin_3theta": TestFunction(
-        id="sin_3theta",
-        eval=lambda p: 3.0 * p[:, 1] - 4.0 * p[:, 1] ** 3,
-        laplace_beltrami=lambda p: -9.0 * (3.0 * p[:, 1] - 4.0 * p[:, 1] ** 3),
+        eval=lambda p: 3.0 * p[:, 1] - 4.0 * p[:, 1] ** 3, eigenvalue=-9.0
     ),
-    "const_one": TestFunction(id="const_one", eval=_const(1.0), laplace_beltrami=_zero),
+    "const_one": _CONST_ONE,
 }
 
 _SPHERE_FUNCTIONS = {
     # degree-1 spherical harmonics: eigenvalue -l(l+1) = -2
-    "coord_z": TestFunction(
-        id="coord_z",
-        eval=lambda p: p[:, 2],
-        laplace_beltrami=lambda p: -2.0 * p[:, 2],
-    ),
-    "coord_x": TestFunction(
-        id="coord_x",
-        eval=lambda p: p[:, 0],
-        laplace_beltrami=lambda p: -2.0 * p[:, 0],
-    ),
+    "coord_z": TestFunction(eval=lambda p: p[:, 2], eigenvalue=-2.0),
+    "coord_x": TestFunction(eval=lambda p: p[:, 0], eigenvalue=-2.0),
     # x*y is a degree-2 harmonic: eigenvalue -6
-    "harmonic_xy": TestFunction(
-        id="harmonic_xy",
-        eval=lambda p: p[:, 0] * p[:, 1],
-        laplace_beltrami=lambda p: -6.0 * p[:, 0] * p[:, 1],
-    ),
-    "const_one": TestFunction(id="const_one", eval=_const(1.0), laplace_beltrami=_zero),
+    "harmonic_xy": TestFunction(eval=lambda p: p[:, 0] * p[:, 1], eigenvalue=-6.0),
+    "const_one": _CONST_ONE,
 }
 
 _TORUS_FUNCTIONS = {
-    "sin_theta": TestFunction(
-        id="sin_theta",
-        eval=lambda p: p[:, 1],
-        laplace_beltrami=lambda p: -p[:, 1],
-    ),
-    "sin_phi": TestFunction(
-        id="sin_phi",
-        eval=lambda p: p[:, 3],
-        laplace_beltrami=lambda p: -p[:, 3],
-    ),
-    "sin_theta_cos_phi": TestFunction(
-        id="sin_theta_cos_phi",
-        eval=lambda p: p[:, 1] * p[:, 2],
-        laplace_beltrami=lambda p: -2.0 * p[:, 1] * p[:, 2],
-    ),
-    "const_one": TestFunction(id="const_one", eval=_const(1.0), laplace_beltrami=_zero),
+    "sin_theta": _SIN_THETA,
+    "sin_phi": TestFunction(eval=lambda p: p[:, 3], eigenvalue=-1.0),
+    # a product of modes on the flat torus: eigenvalue -1 - 1 = -2
+    "sin_theta_cos_phi": TestFunction(eval=lambda p: p[:, 1] * p[:, 2], eigenvalue=-2.0),
+    "const_one": _CONST_ONE,
 }
 
 MANIFOLDS: dict[str, ManifoldDescriptor] = {
@@ -281,13 +256,12 @@ def grid_sample(manifold: ManifoldDescriptor | str, n: int) -> PointCloud:
 def eval_pair(manifold: ManifoldDescriptor | str, fn_id: str, cloud: PointCloud):
     """Evaluate a registered test function and its Laplace-Beltrami image.
 
-    Returns (f, lap) as two length-N arrays over the cloud's points.
+    Returns (f, lap) as two length-N arrays over the cloud's points; f is
+    evaluated once and lap is eigenvalue * f.
     """
     fn = get_function(manifold, fn_id)
-    pts = cloud.points
-    return np.asarray(fn.eval(pts), dtype=np.float64), np.asarray(
-        fn.laplace_beltrami(pts), dtype=np.float64
-    )
+    f = np.asarray(fn.eval(cloud.points), dtype=np.float64)
+    return f, fn.eigenvalue * f
 
 
 def registry_payload() -> list[dict]:

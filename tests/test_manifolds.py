@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -13,6 +15,59 @@ from graph_calculus import (
     sample,
 )
 from graph_calculus.manifolds import registry_payload
+
+
+# sha256 of the bytes of eval_pair's (f, lap) on sample(manifold, 500, seed=0)
+EVAL_PAIR_DIGESTS = {
+    ("circle", "const_one"): (
+        "d1ddda0aa655c9a3ba69e12852de5a2ff86c3f40b57a7006741476c1bbf911e2",
+        "fc19b1997119425765295aeab72d76faa6927d4f83985d328c26f20468d6cc76",
+    ),
+    ("circle", "cos_theta"): (
+        "f611cf56faec4d6e5c88321925db74867fc95e47b4bc8beecd85d5fb0dd19be0",
+        "65a54654617912e2fbb0dd37dd242f5f3f927c8e928bb13a2d06902805d0d5c7",
+    ),
+    ("circle", "sin_3theta"): (
+        "58646c2fcfff20854d349140cc94d73f3fd54d057e4180d966c9e0c9edd08f21",
+        "bd9fc34c5dc3b8b2674d661174235d7fdc5c8249f7944086b267d3c96edacf90",
+    ),
+    ("circle", "sin_theta"): (
+        "7264bba790fbb2b121799a74f2ee3be887def8b76da51dd535a24ac1886a38b0",
+        "31f96482fc34b69d02f51de71d8e9755d54784ed8fd7ef1770f4cd1e5235f58f",
+    ),
+    ("sphere", "const_one"): (
+        "d1ddda0aa655c9a3ba69e12852de5a2ff86c3f40b57a7006741476c1bbf911e2",
+        "fc19b1997119425765295aeab72d76faa6927d4f83985d328c26f20468d6cc76",
+    ),
+    ("sphere", "coord_x"): (
+        "c3182c21ba79e9d0f7762e346baae98c3676a69fcaeca883377169cbc7e10b65",
+        "bafe93bdc201941cdb80aeb3d881b55ccb87f021e8981eebaeacac4ecff4bb72",
+    ),
+    ("sphere", "coord_z"): (
+        "52b123270c8d94b01aafaeb3c44e6a80147e33a8a3ba881b4c4c1c4d8af67167",
+        "4f1af17f70ba28a3370d0220123d7720a47a14742c6e3c238ededd49e44a7fbd",
+    ),
+    ("sphere", "harmonic_xy"): (
+        "50a48d2d3c94416d45d82806e7fd6b696a51117d61a330387e44a6fbf76d1677",
+        "2914a7b833a99e9d7bc1d33e69d5edb7164efcb2e868b3cb61bfb350c64bc0aa",
+    ),
+    ("torus", "const_one"): (
+        "d1ddda0aa655c9a3ba69e12852de5a2ff86c3f40b57a7006741476c1bbf911e2",
+        "fc19b1997119425765295aeab72d76faa6927d4f83985d328c26f20468d6cc76",
+    ),
+    ("torus", "sin_phi"): (
+        "83242c3a5dad74276177d22f29c06581e2a845a78e0909fa0e34e51f8df3e5ea",
+        "88f6d41cdc2889ab2e1195dd198a72399b25f322e0dfafbf27388e4a4eb10557",
+    ),
+    ("torus", "sin_theta"): (
+        "7264bba790fbb2b121799a74f2ee3be887def8b76da51dd535a24ac1886a38b0",
+        "31f96482fc34b69d02f51de71d8e9755d54784ed8fd7ef1770f4cd1e5235f58f",
+    ),
+    ("torus", "sin_theta_cos_phi"): (
+        "a94e1c0f85199187ad18b3a9cd31f6313d00ae091b87bc6cf33db9caba8b5ffd",
+        "1fed2f9062a1b186e1963f8abf470846105d1f3eae5a79593737a1eb0acfca67",
+    ),
+}
 
 
 def circle_point(theta):
@@ -166,6 +221,17 @@ class TestEvalPair:
         cloud = sample("circle", 10, seed=6)
         with pytest.raises(ValueError, match="sin_theta"):
             eval_pair("circle", "nope", cloud)
+
+    @pytest.mark.parametrize(
+        "manifold,fn_id",
+        [(m, fn_id) for m in manifold_names() for fn_id in sorted(get_manifold(m).functions)],
+    )
+    def test_outputs_are_pinned(self, manifold, fn_id):
+        f, lap = eval_pair(manifold, fn_id, sample(manifold, 500, seed=0))
+        eigenvalue = get_manifold(manifold).functions[fn_id].eigenvalue
+        assert lap.tobytes() == (eigenvalue * f).tobytes()
+        digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (f, lap))
+        assert digests == EVAL_PAIR_DIGESTS[(manifold, fn_id)]
 
 
 class TestLaplaceBeltramiFiniteDifferenceOracle:
