@@ -80,20 +80,6 @@ def _check_choice(name: str, value: str, choices: tuple) -> None:
         raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
-def _check_mode(mode: str, tau: float) -> None:
-    """Reject a mode and tau that do not pair: dense needs tau == 0, sparse tau > 0.
-
-    Only the pairing is checked here; KernelConfig owns the range [0, 1) of
-    tau, and every caller builds one before calling this.
-    """
-    _check_choice("mode", mode, _MODES)
-    if mode == "dense":
-        if tau != 0.0:
-            raise ValueError("dense mode is exact: tau must be 0")
-    elif not tau > 0.0:
-        raise ValueError("sparse mode requires 0 < tau < 1")
-
-
 def _number(convert, value):
     if isinstance(value, (bool, str)):  # float() would read true as 1.0, "0.5" as 0.5
         raise TypeError(f"{value!r} is not a number")
@@ -141,7 +127,12 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must be a nonnegative 64-bit integer")
-        _check_mode(self.mode, self.tau)
+        # KernelConfig has checked tau's range [0, 1); the mode must pair with it
+        _check_choice("mode", self.mode, _MODES)
+        if self.mode == "dense" and self.tau != 0.0:
+            raise ValueError("dense mode is exact: tau must be 0")
+        if self.mode == "sparse" and not self.tau > 0.0:
+            raise ValueError("sparse mode requires 0 < tau < 1")
         _check_choice("sampling", self.sampling, _SAMPLINGS)
         _check_choice("interior_statistic", self.interior_statistic, _STATISTICS)
 
@@ -245,13 +236,7 @@ class DegreeStats:
 
 @dataclass(frozen=True)
 class LemmaCheckResult:
-    manifold: str
-    function: str
     n: int  # actual cloud size (torus grids round up to a square)
-    epsilon: float
-    seed: int
-    mode: str
-    sampling: str
     estimate: np.ndarray
     reference: np.ndarray
     degrees: np.ndarray
@@ -327,7 +312,6 @@ def lemma_check(
     n: int,
     epsilon: float,
     seed: int = 0,
-    mode: str = "dense",
     tau: float = 0.0,
     sampling: str = "random",
     pin_anchor: bool = False,
@@ -335,9 +319,11 @@ def lemma_check(
     """Compare the estimator (2/eps) Delta f against the closed-form target.
 
     Samples a cloud (random by seed, or the deterministic grid) and applies
-    the normalized Laplacian without storing W: one kernel pass for the
-    degrees d = W 1, a second for W (f / sqrt d), so a cell holds one kernel
-    block rather than W's nnz. Both passes run one pass plan, which the
+    the normalized Laplacian without storing W. tau alone selects the pass:
+    tau == 0 keeps every kernel weight (exact), and 0 < tau < 1 drops the
+    weights below tau (truncated), as in degree_check. One kernel pass
+    gives the degrees d = W 1, a second W (f / sqrt d), so a cell holds one
+    kernel block rather than W's nnz. Both passes run one pass plan, which the
     first builds and keeps on the cloud (order, tile classes and trimmed
     columns), so the second neither orders nor trims. Returns the per-vertex
     estimate and reference, error summary statistics, and the
@@ -346,7 +332,6 @@ def lemma_check(
     across-seed spread can be measured at a fixed location.
     """
     kernel = KernelConfig(epsilon=epsilon, truncation_tau=tau)
-    _check_mode(mode, tau)
     m, cloud, warned, regime = _cell_setup(manifold, n, epsilon, seed, sampling, pin_anchor)
     f, reference = eval_pair(m, fn_id, cloud)
 
@@ -358,13 +343,7 @@ def lemma_check(
     if normalizer == 0.0:
         normalizer = 1.0  # relative error degrades to absolute for zero targets
     return LemmaCheckResult(
-        manifold=m.name,
-        function=fn_id,
         n=cloud.n_points,
-        epsilon=float(epsilon),
-        seed=int(seed),
-        mode=mode,
-        sampling=sampling,
         estimate=estimate,
         reference=reference,
         degrees=d,
@@ -428,7 +407,6 @@ class CellResult:
     degree_ratio_dev: float
     wall_ms: float
     trial: int
-    sampling: str
     regime: str
 
 
@@ -464,7 +442,6 @@ def _run_cell(spec: ExperimentSpec, n: int, epsilon: float, trial: int):
             n,
             epsilon,
             seed=seed,
-            mode=spec.mode,
             tau=spec.tau,
             sampling=spec.sampling,
         )
@@ -487,7 +464,6 @@ def _run_cell(spec: ExperimentSpec, n: int, epsilon: float, trial: int):
         degree_ratio_dev=res.degree_stats.residual_dev,
         wall_ms=wall_ms,
         trial=trial,
-        sampling=spec.sampling,
         regime=res.regime,
     )
 

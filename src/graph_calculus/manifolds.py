@@ -59,10 +59,6 @@ class TestFunction:
     eval: Callable[[np.ndarray], np.ndarray]
     eigenvalue: float
 
-    def laplace_beltrami(self, pts: np.ndarray) -> np.ndarray:
-        """The closed-form image Delta_M f = eigenvalue * f at the points."""
-        return self.eigenvalue * self.eval(pts)
-
 
 @dataclass(frozen=True)
 class ManifoldDescriptor:

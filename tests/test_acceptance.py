@@ -151,7 +151,7 @@ def test_criterion_2_spectral_sanity():
 def bias_ladder():
     start = time.perf_counter()
     results = [
-        lemma_check("circle", "sin_theta", 4000, eps, sampling="grid", mode="dense")
+        lemma_check("circle", "sin_theta", 4000, eps, sampling="grid")
         for eps in EPS_LADDER
     ]
     return results, time.perf_counter() - start
@@ -210,7 +210,7 @@ def stochastic_study():
         seed = derive_cell_seed(4000, n, CRIT4_EPS, t)
         res = lemma_check(
             "circle", "sin_theta", n, CRIT4_EPS,
-            seed=seed, mode="sparse", tau=1e-8, pin_anchor=True,
+            seed=seed, tau=1e-8, pin_anchor=True,
         )
         return float(res.estimate[0]), res.err_rel_median
 
@@ -332,7 +332,7 @@ def test_criterion_5_sphere_correction_exceeds_eps_over_6(degree_ensembles):
 
 def _correlation(manifold, fn_id, reference_scale, eps, seed=0):
     start = time.perf_counter()
-    res = lemma_check(manifold, fn_id, 8000, eps, seed=seed, mode="sparse", tau=1e-8)
+    res = lemma_check(manifold, fn_id, 8000, eps, seed=seed, tau=1e-8)
     corr = float(np.corrcoef(res.estimate, res.reference)[0, 1])
     return corr, time.perf_counter() - start
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import json
 import math
@@ -52,6 +53,38 @@ def recording_pool(monkeypatch):
 
 def strip_wall(row):
     return dataclasses.replace(row, wall_ms=0.0)
+
+
+# sha256 of (estimate, reference, degrees) of lemma_check cells, keyed by
+# (manifold, function, N, epsilon, seed, tau, pin_anchor): tau alone selects
+# the exact (tau 0) or truncated pass (numpy 2.4, OpenBLAS 0.3.31 on x86-64).
+LEMMA_CHECK_DIGESTS = {
+    ("circle", "sin_theta", 300, 0.05, 3, 0.0, False): (
+        "0e994d5ae62e695833da1c643e8b611d9e33c5fe1907e19526082efaf85659d9",
+        "41045ed4dd3eb5b8f0d8ce8380a681f78d3f84673cbbaf7b565a9b68d4d7943c",
+        "c05ccc01a3cc052594354ccb3ddbf30550c51a0767831fcc1b603d013c227f21",
+    ),
+    ("circle", "sin_theta", 300, 0.05, 3, 1e-08, False): (
+        "1c9a6dff54d5cadd6e278acb62f8f44c1391f79e9af506cc57347bb0055786a1",
+        "41045ed4dd3eb5b8f0d8ce8380a681f78d3f84673cbbaf7b565a9b68d4d7943c",
+        "c53c2de84cc41ed3ee0d435adf592ac6a57c2f903d383abd1ccd86ad015137ac",
+    ),
+    ("sphere", "coord_z", 400, 0.05, 4, 0.0, False): (
+        "e67358fbae3b26d6753f06261bebda8431c2cd5dab1a5013670bd5d9201ccc05",
+        "7ce51b62fbb201ddb30ee00ef519b18fbc24cf2845745f95866b3d32120f3214",
+        "b52e92647171f385ec727fc05f038fa3771fb2df96e7284bdcef1d662e37ec67",
+    ),
+    ("sphere", "coord_z", 400, 0.05, 4, 1e-08, False): (
+        "6d6207e35978b321c0fdf0e191aefbcfb25646d28980a248bd09ac8530f86bda",
+        "7ce51b62fbb201ddb30ee00ef519b18fbc24cf2845745f95866b3d32120f3214",
+        "d1f65e22375d02c90b87cc5d4b97b72fd50eb45ddc7098ddcc3988de6b08d755",
+    ),
+    ("circle", "sin_theta", 300, 0.05, 5, 0.0, True): (
+        "1de272436fa6c1917de3e600ce3bb749081525e7f30ff811f2e183cdcbd7e390",
+        "ebcfd911b944e53e3924c342b9832ad1cd871997a83cf5c82ce63876a4f79761",
+        "759d6dd26918c882f943dea22142ca1274280423a3c9c84177530a7686fc81d3",
+    ),
+}
 
 
 class TestExperimentSpec:
@@ -321,25 +354,28 @@ class TestLemmaCheck:
         assert math.isfinite(res.err_rel_median)
 
     def test_pin_anchor_places_anchor(self):
-        res = lemma_check(
-            "circle", "sin_theta", 50, 0.05, seed=5, mode="dense", pin_anchor=True
-        )
+        res = lemma_check("circle", "sin_theta", 50, 0.05, seed=5, pin_anchor=True)
         assert res.n == 50
         got = lemma_check("circle", "sin_theta", 50, 0.05, seed=5, pin_anchor=True)
         assert got.estimate[0] == res.estimate[0]
 
+    @pytest.mark.parametrize(
+        "cell", list(LEMMA_CHECK_DIGESTS), ids=lambda c: f"{c[0]}-tau{c[5]:g}{'-pinned' * c[6]}"
+    )
+    def test_tau_alone_selects_the_pass(self, cell):
+        manifold, fn_id, n, epsilon, seed, tau, pin_anchor = cell
+        res = lemma_check(manifold, fn_id, n, epsilon, seed=seed, tau=tau, pin_anchor=pin_anchor)
+        digests = tuple(
+            hashlib.sha256(a.tobytes()).hexdigest() for a in (res.estimate, res.reference, res.degrees)
+        )
+        assert digests == LEMMA_CHECK_DIGESTS[cell]
+
     def test_validation(self):
-        with pytest.raises(ValueError, match="mode"):
-            lemma_check("circle", "sin_theta", 50, 0.05, mode="banded")
-        with pytest.raises(ValueError, match="tau must be 0"):
-            lemma_check("circle", "sin_theta", 50, 0.05, mode="dense", tau=0.5)
-        with pytest.raises(ValueError, match="0 < tau < 1"):
-            lemma_check("circle", "sin_theta", 50, 0.05, mode="sparse", tau=0.0)
         with pytest.raises(ValueError, match="truncation_tau"):
-            lemma_check("circle", "sin_theta", 50, 0.05, mode="sparse", tau=1.0)
+            lemma_check("circle", "sin_theta", 50, 0.05, tau=1.0)
         # N above the stored-W limit runs in dense mode and matches sparse
-        dense = lemma_check("circle", "sin_theta", 5000, 0.05, seed=9, mode="dense")
-        sparse = lemma_check("circle", "sin_theta", 5000, 0.05, seed=9, mode="sparse", tau=1e-12)
+        dense = lemma_check("circle", "sin_theta", 5000, 0.05, seed=9)
+        sparse = lemma_check("circle", "sin_theta", 5000, 0.05, seed=9, tau=1e-12)
         np.testing.assert_allclose(sparse.estimate, dense.estimate, atol=1e-8)
 
     @pytest.mark.parametrize("epsilon", [0.0, -0.05])
@@ -366,14 +402,14 @@ class TestLemmaCheck:
         assert [w.filename for w in record] == [__file__, __file__]
 
     def test_sparse_close_to_dense(self):
-        dense = lemma_check("circle", "sin_theta", 400, 0.02, seed=9, mode="dense")
-        sparse = lemma_check("circle", "sin_theta", 400, 0.02, seed=9, mode="sparse", tau=1e-12)
+        dense = lemma_check("circle", "sin_theta", 400, 0.02, seed=9)
+        sparse = lemma_check("circle", "sin_theta", 400, 0.02, seed=9, tau=1e-12)
         np.testing.assert_allclose(sparse.estimate, dense.estimate, atol=1e-8)
 
-    @pytest.mark.parametrize("mode, tau", [("dense", 0.0), ("sparse", 1e-8)])
-    def test_matches_stored_weight_route(self, split_blocks, mode, tau):
+    @pytest.mark.parametrize("tau", [0.0, 1e-8], ids=["dense-0.0", "sparse-1e-08"])
+    def test_matches_stored_weight_route(self, split_blocks, tau):
         split_blocks(700, 160)  # four full row blocks and a ragged fifth
-        res = lemma_check("sphere", "coord_z", 700, 0.05, seed=4, mode=mode, tau=tau)
+        res = lemma_check("sphere", "coord_z", 700, 0.05, seed=4, tau=tau)
         cloud = sample("sphere", 700, seed=4)
         w = build_weights(cloud, KernelConfig(epsilon=0.05, truncation_tau=tau))
         d = degrees(w)
@@ -398,8 +434,8 @@ class TestLemmaCheck:
             if module.__name__ in patched:
                 monkeypatch.setattr(module, "build_weights", refuse)
 
-        lemma_check("sphere", "coord_z", 300, 0.05, seed=1, mode="sparse", tau=1e-8)
-        lemma_check("circle", "sin_theta", 200, 0.05, seed=1, mode="dense")
+        lemma_check("sphere", "coord_z", 300, 0.05, seed=1, tau=1e-8)
+        lemma_check("circle", "sin_theta", 200, 0.05, seed=1)
         cloud_csv, f_csv = tmp_path / "cloud.csv", tmp_path / "f.csv"
         cloud = sample("sphere", 300, seed=1)
         np.savetxt(cloud_csv, cloud.points, delimiter=",")
@@ -485,7 +521,7 @@ class TestSweep:
         spec = self.base_spec(n_list=(80,), epsilon_list=(0.05,), trials=1)
         row = sweep(spec).rows[0]
         seed = derive_cell_seed(5, 80, 0.05, 0)
-        direct = lemma_check("circle", "sin_theta", 80, 0.05, seed=seed, mode="dense")
+        direct = lemma_check("circle", "sin_theta", 80, 0.05, seed=seed)
         assert row.seed == seed
         assert row.err_abs_median == direct.err_abs_median
         assert row.err_abs_max == direct.err_abs_max
@@ -629,14 +665,14 @@ class TestSignSanity:
         ),
     )
     def test_stated_cell(self):
-        res = lemma_check("circle", "sin_theta", 4000, 0.005, seed=0, mode="dense")
+        res = lemma_check("circle", "sin_theta", 4000, 0.005, seed=0)
         f = -res.reference  # reference is -sin(theta)
         corr = float(np.corrcoef(res.estimate, f)[0, 1])
         print(f"\ncorr(estimator, f) at eps=0.005: {corr:.3f} (required <= -0.9)")
         assert corr <= -0.9
 
     def test_feasible_bandwidth(self):
-        res = lemma_check("circle", "sin_theta", 4000, 0.05, seed=0, mode="dense")
+        res = lemma_check("circle", "sin_theta", 4000, 0.05, seed=0)
         f = -res.reference
         corr = float(np.corrcoef(res.estimate, f)[0, 1])
         assert corr <= -0.9
@@ -652,9 +688,7 @@ class TestSphereMonotoneImprovement:
             vals = []
             for t in range(seeds):
                 seed = derive_cell_seed(77, n, eps, t)
-                res = lemma_check(
-                    "sphere", "coord_z", n, eps, seed=seed, mode="sparse", tau=1e-8
-                )
+                res = lemma_check("sphere", "coord_z", n, eps, seed=seed, tau=1e-8)
                 vals.append(res.err_rel_median)
             return float(np.mean(vals))
 

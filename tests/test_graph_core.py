@@ -669,7 +669,7 @@ class TestTileClasses:
         real, real_near = graph_core._tile_order, graph_core._near_columns
         monkeypatch.setattr(graph_core, "_tile_order", lambda pts: calls.append(1) or real(pts))
         monkeypatch.setattr(graph_core, "_near_columns", lambda *a: trims.append(1) or real_near(*a))
-        lemma_check("sphere", "coord_z", 2000, 0.01, mode="sparse", tau=1e-8)
+        lemma_check("sphere", "coord_z", 2000, 0.01, tau=1e-8)
         assert (len(calls), len(trims)) == (1, 9)  # 2000 = 8 x 224 + 208
         calls.clear()
         cloud, kernel = sample("sphere", 500, 2), KernelConfig(epsilon=0.01, truncation_tau=1e-8)

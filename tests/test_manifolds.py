@@ -235,8 +235,8 @@ class TestEvalPair:
 
 
 class TestLaplaceBeltramiFiniteDifferenceOracle:
-    """Independent check of every registered closed form via central
-    differences in intrinsic coordinates."""
+    """Independent check of every registered eigenvalue: eigenvalue * f
+    against central differences in intrinsic coordinates."""
 
     H = 1e-4
 
@@ -265,19 +265,19 @@ class TestLaplaceBeltramiFiniteDifferenceOracle:
         m = get_manifold("circle")
         for theta in (0.3, 1.7, 4.4):
             for fn in m.functions.values():
-                closed = fn.laplace_beltrami(circle_point(theta))[0]
+                closed = fn.eigenvalue * fn.eval(circle_point(theta))[0]
                 assert closed == pytest.approx(self._fd_circle(fn, theta), abs=2e-5)
 
     def test_sphere_functions(self):
         m = get_manifold("sphere")
         for polar, azimuth in ((0.7, 0.4), (1.3, 2.9), (2.2, 5.1)):
             for fn in m.functions.values():
-                closed = fn.laplace_beltrami(sphere_point(polar, azimuth))[0]
+                closed = fn.eigenvalue * fn.eval(sphere_point(polar, azimuth))[0]
                 assert closed == pytest.approx(self._fd_sphere(fn, polar, azimuth), abs=2e-4)
 
     def test_torus_functions(self):
         m = get_manifold("torus")
         for theta, phi in ((0.5, 1.1), (2.4, 3.8), (5.9, 0.2)):
             for fn in m.functions.values():
-                closed = fn.laplace_beltrami(torus_point(theta, phi))[0]
+                closed = fn.eigenvalue * fn.eval(torus_point(theta, phi))[0]
                 assert closed == pytest.approx(self._fd_torus(fn, theta, phi), abs=2e-5)
