@@ -97,14 +97,6 @@ def _build_parser() -> _Parser:
     run.add_argument("--config", required=True, help="experiment spec JSON")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--parallelism", type=int, default=1, metavar="K")
-    run.add_argument("--seed", type=int, default=None, help="override master_seed")
-    run.add_argument("--mode", choices=("dense", "sparse"), default=None)
-    run.add_argument("--tau", type=float, default=None, help="sparse truncation threshold")
-    run.add_argument(
-        "--timings",
-        action="store_true",
-        help="write measured wall_ms into results.csv (breaks byte-reproducibility)",
-    )
 
     verify = sub.add_parser(
         "verify", help="run the exact-algebra invariant suite"
@@ -193,13 +185,12 @@ def _cmd_run(args) -> int:
         raise ValueError(f"config file not found: {config}")
     try:
         spec = ExperimentSpec.from_json(config)
-        spec = spec.with_overrides(master_seed=args.seed, mode=args.mode, tau=args.tau)
     except ValueError as exc:
         raise ValueError(f"invalid experiment spec: {exc}") from exc
 
     out_dir = _prepare_out_dir(args.out)
     result = sweep(spec, parallelism=args.parallelism)
-    csv_text = results_csv_text(result.rows, include_timings=args.timings)
+    csv_text = results_csv_text(result.rows)
     write_text_atomic(out_dir / "results.csv", csv_text)
 
     # N by epsilon, then epsilon by N, each for err_rel_median, then err_abs_<statistic>

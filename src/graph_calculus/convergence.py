@@ -164,22 +164,6 @@ class ExperimentSpec:
     def to_dict(self) -> dict:
         return record_dict(self)
 
-    def with_overrides(self, master_seed=None, mode=None, tau=None) -> "ExperimentSpec":
-        """This spec with the given fields replaced, rebuilt through from_dict.
-
-        A mode that differs from the spec's drops the spec's tau, so the new
-        mode gets from_dict's default tau unless tau is given too.
-        """
-        payload = self.to_dict()
-        if master_seed is not None:
-            payload["master_seed"] = master_seed
-        if mode is not None and mode != self.mode:
-            payload["mode"] = mode
-            del payload["tau"]
-        if tau is not None:
-            payload["tau"] = tau
-        return ExperimentSpec.from_dict(payload)
-
 
 def derive_cell_seed(master_seed: int, n: int, epsilon: float, trial: int) -> int:
     """Per-cell seed from (master_seed, N value, epsilon bits, trial index).

@@ -74,9 +74,8 @@ def write_text_atomic(path, text: str) -> None:
         raise
 
 
-# Fixed result-table schema, as CellResult field names. wall_ms is 0 unless
-# timings were requested: results.csv is byte-reproducible by default, and
-# measured wall times (which never are) live in summary.json.
+# Fixed result-table schema, as CellResult field names. wall_ms is always 0,
+# so results.csv is byte-reproducible; measured wall times live in summary.json.
 _RESULTS_COLUMNS = (
     "manifold", "function", "n", "epsilon", "seed", "mode", "err_abs_median", "err_abs_mean",
     "err_abs_max", "err_rel_median", "degree_ratio_mean", "degree_ratio_dev", "wall_ms",
@@ -88,14 +87,11 @@ def _csv_field(value) -> str:
     return format_float(value) if isinstance(value, float) else str(value)
 
 
-def results_csv_text(rows, include_timings: bool = False) -> str:
+def results_csv_text(rows) -> str:
     lines = [RESULTS_HEADER]
     for r in rows:
         lines.append(
-            ",".join(
-                "0" if name == "wall_ms" and not include_timings else _csv_field(getattr(r, name))
-                for name in _RESULTS_COLUMNS
-            )
+            ",".join("0" if name == "wall_ms" else _csv_field(getattr(r, name)) for name in _RESULTS_COLUMNS)
         )
     return "\n".join(lines) + "\n"
 

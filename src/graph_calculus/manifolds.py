@@ -232,6 +232,8 @@ def sample(manifold: ManifoldDescriptor | str, n: int, seed: int) -> PointCloud:
     m = get_manifold(manifold)
     if n < 2:
         raise ValueError(f"need n >= 2 sample points, got {n}")
+    if seed < 0:  # numpy's own message does not name the seed
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     rng = np.random.default_rng(int(seed))
     return PointCloud(points=m._sampler(rng, int(n)))
 

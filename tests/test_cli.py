@@ -32,6 +32,7 @@ from graph_calculus.convergence import fit_rate_xy
 from graph_calculus.csvio import (
     format_float,
     read_matrix_csv,
+    read_results_csv,
     read_vector_csv,
     write_matrix_csv,
     write_text_atomic,
@@ -131,19 +132,6 @@ class TestRun:
         assert main(["run", "--config", str(path), "--out", str(out1), "--parallelism", "1"]) == 0
         assert main(["run", "--config", str(path), "--out", str(out2), "--parallelism", "4"]) == 0
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
-
-    def test_seed_override_changes_rows(self, tmp_path):
-        path = write_spec(tmp_path)
-        out1, out2 = tmp_path / "s1", tmp_path / "s2"
-        assert main(["run", "--config", str(path), "--out", str(out1)]) == 0
-        assert main(["run", "--config", str(path), "--out", str(out2), "--seed", "99"]) == 0
-        assert (out1 / "results.csv").read_bytes() != (out2 / "results.csv").read_bytes()
-
-    def test_timings_flag_fills_wall_ms(self, spec_file, tmp_path):
-        out = tmp_path / "timed"
-        assert main(["run", "--config", str(spec_file), "--out", str(out), "--timings"]) == 0
-        row = (out / "results.csv").read_text().splitlines()[1]
-        assert row.rsplit(",", 1)[1] != "0"
 
     @pytest.mark.parametrize(
         "overrides, match",
@@ -271,19 +259,36 @@ class TestRun:
         first = [(c["N"], c["epsilon"], c["trial"]) for c in summary["cells"][:3]]
         assert first == [(40, 0.05, 1), (40, 0.1, 0), (40, 0.1, 1)]
 
-    def test_dense_tau_override_conflict_exit_1(self, spec_file, tmp_path, capsys):
-        code = main(
-            ["run", "--config", str(spec_file), "--out", str(tmp_path / "o"), "--tau", "0.5"]
-        )
-        assert code == 1
-        assert "tau" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flag", [["--seed", "9"], ["--mode", "sparse"], ["--tau", "1e-8"], ["--timings"]],
+        ids=["seed", "mode", "tau", "timings"],
+    )
+    def test_no_flag_changes_results_exit_1(self, spec_file, tmp_path, capsys, flag):
+        # a run is a function of its spec file: no flag changes its numbers
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(spec_file), "--out", str(out), *flag])
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
 
-    def test_mode_override_to_sparse(self, spec_file, tmp_path):
-        out = tmp_path / "sparse"
-        assert main(["run", "--config", str(spec_file), "--out", str(out), "--mode", "sparse"]) == 0
+    def test_summary_spec_is_the_parsed_file(self, tmp_path):
+        # a sparse spec without tau is echoed with the default tau filled in
+        path = write_spec(tmp_path, mode="sparse")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["spec"]["mode"] == "sparse"
-        assert summary["spec"]["tau"] > 0
+        assert summary["spec"] == conv.ExperimentSpec.from_json(path).to_dict()
+        assert summary["spec"]["tau"] == conv.DEFAULT_TAU
+
+    def test_wall_times_only_in_summary(self, tmp_path):
+        path = write_spec(tmp_path)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        rows = read_results_csv(out / "results.csv")
+        assert len(rows) == 12 and {row["wall_ms"] for row in rows} == {"0"}
+        cells = json.loads((out / "summary.json").read_text())["cells"]
+        assert len(cells) == 12 and all(cell["wall_ms"] > 0 for cell in cells)
 
     def test_users_write_probe_file_survives(self, spec_file, tmp_path):
         out = tmp_path / "o"
@@ -479,6 +484,11 @@ class TestDegreeCheckCommand:
         code = main(["degree-check", "--manifold", "circle", "--n", "10", "--epsilon", "-1"])
         assert code == 1
         assert "epsilon must be a positive real, got -1.0" in capsys.readouterr().err
+
+    def test_negative_seed_exit_1(self, capsys):
+        argv = ["degree-check", "--manifold", "circle", "--n", "100", "--epsilon", "0.1", "--seed", "-1"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
 
     @pytest.mark.parametrize(
         "exc, message",

@@ -196,32 +196,6 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="invalid JSON"):
             ExperimentSpec.from_json(path)
 
-    def test_overrides(self):
-        spec = ExperimentSpec.from_dict(self.minimal())
-        assert spec.with_overrides(master_seed=9).master_seed == 9
-        sparse = spec.with_overrides(mode="sparse")
-        assert sparse.tau == conv.DEFAULT_TAU
-        assert sparse.with_overrides(mode="dense").tau == 0.0
-
-    @pytest.mark.parametrize(
-        "start, overrides, expected",
-        [
-            (("dense", 0.0), dict(mode="sparse"), ("sparse", conv.DEFAULT_TAU)),
-            (("sparse", 1e-6), dict(mode="dense"), ("dense", 0.0)),
-            (("sparse", 1e-6), dict(mode="sparse"), ("sparse", 1e-6)),
-            (("sparse", 1e-6), dict(tau=1e-4), ("sparse", 1e-4)),
-            (("dense", 0.0), dict(mode="sparse", tau=1e-4), ("sparse", 1e-4)),
-            (("sparse", 1e-6), dict(mode="dense", tau=0.0), ("dense", 0.0)),
-        ],
-        ids=["to-sparse", "to-dense", "same-mode", "tau", "tau-to-sparse", "tau-to-dense"],
-    )
-    def test_overrides_table(self, start, overrides, expected):
-        mode, tau = start
-        spec = ExperimentSpec.from_dict(self.minimal(mode=mode, tau=tau, master_seed=4))
-        got = spec.with_overrides(**overrides)
-        assert (got.mode, got.tau) == expected
-        assert got == dataclasses.replace(spec, mode=expected[0], tau=expected[1])
-
     @pytest.mark.parametrize(
         "overrides, match",
         [

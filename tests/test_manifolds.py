@@ -163,6 +163,10 @@ class TestSamplers:
         with pytest.raises(ValueError, match=">= 2"):
             sample("circle", 1, seed=0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got -1$"):
+            sample("circle", 10, seed=-1)
+
 
 class TestGridSample:
     def test_circle_four_points(self):
