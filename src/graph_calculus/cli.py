@@ -193,10 +193,10 @@ def _cmd_run(args) -> int:
     csv_text = results_csv_text(result.rows)
     write_text_atomic(out_dir / "results.csv", csv_text)
 
-    # N by epsilon, then epsilon by N, each for err_rel_median, then err_abs_<statistic>
+    # N by epsilon, then epsilon by N, each for every error column
     rate_fits = []
     for swept, group in (("n", "epsilon"), ("epsilon", "n")):
-        for response in ("err_rel_median", f"err_abs_{spec.interior_statistic}"):
+        for response in ("err_rel_median", "err_abs_median", "err_abs_mean", "err_abs_max"):
             columns = ([getattr(r, name) for r in result.rows] for name in (group, swept, response))
             axes = {"swept_axis": output_key(swept), "group_by": output_key(group)}
             rate_fits += [

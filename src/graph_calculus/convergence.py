@@ -35,6 +35,7 @@ from .csvio import output_key, record_dict
 from .graph_core import KernelConfig, PointCloud, degrees_from_cloud, laplacian_from_cloud
 from .manifolds import (
     ManifoldDescriptor,
+    check_seed,
     eval_pair,
     get_function,
     get_manifold,
@@ -64,7 +65,6 @@ log = logging.getLogger("graph_calculus.convergence")
 
 _MODES = ("dense", "sparse")
 _SAMPLINGS = ("random", "grid")
-_STATISTICS = ("median", "mean", "max")
 
 # Default truncation threshold for sparse sweeps. Weights this small are
 # ~8 standard deviations out and contribute nothing at double precision.
@@ -99,7 +99,6 @@ class ExperimentSpec:
     mode: str = "dense"
     tau: float = 0.0
     sampling: str = "random"
-    interior_statistic: str = "median"
 
     def __post_init__(self):
         get_function(self.manifold, self.function)  # raises with the list of valid ids
@@ -134,7 +133,6 @@ class ExperimentSpec:
         if self.mode == "sparse" and not self.tau > 0.0:
             raise ValueError("sparse mode requires 0 < tau < 1")
         _check_choice("sampling", self.sampling, _SAMPLINGS)
-        _check_choice("interior_statistic", self.interior_statistic, _STATISTICS)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentSpec":
@@ -269,6 +267,7 @@ def _cell_setup(manifold, n: int, epsilon: float, seed: int, sampling: str, pin_
     """
     m = get_manifold(manifold)
     _check_choice("sampling", sampling, _SAMPLINGS)
+    check_seed(seed)  # a grid cell draws nothing, yet degree_check reports its seed
     if sampling == "grid":
         cloud = grid_sample(m, n)
     else:
@@ -363,7 +362,7 @@ def degree_check(
         manifold=m.name,
         n=cloud.n_points,
         epsilon=float(epsilon),
-        seed=int(seed),
+        seed=seed,
         sampling=sampling,
         stats=_degree_stats(d, m, cloud.points, epsilon),
         regime=regime,

@@ -227,13 +227,18 @@ def get_function(manifold: ManifoldDescriptor | str, fn_id: str) -> TestFunction
         ) from None
 
 
+def check_seed(seed) -> None:
+    """Refuse a seed outside [0, 2**64) or not an integer: int() would take 2.5 as 2, True as 1."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+
+
 def sample(manifold: ManifoldDescriptor | str, n: int, seed: int) -> PointCloud:
     """Draw n i.i.d. uniform points on the manifold (PCG64, deterministic in seed)."""
     m = get_manifold(manifold)
     if n < 2:
         raise ValueError(f"need n >= 2 sample points, got {n}")
-    if seed < 0:  # numpy's own message does not name the seed
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    check_seed(seed)
     rng = np.random.default_rng(int(seed))
     return PointCloud(points=m._sampler(rng, int(n)))
 

@@ -222,19 +222,28 @@ class TestRun:
         ids=["both-axes", "two-eps"],
     )
     def test_rate_fits_order_and_keys(self, tmp_path, epsilon_list, fitted_eps, fitted_n):
-        # N by epsilon, then epsilon by N, each err_rel_median then err_abs_<statistic>,
+        # N by epsilon, then epsilon by N, each for every error column in this order,
         # groups in value order; two epsilon values are too few for a fit along epsilon
-        path = write_spec(tmp_path, epsilon_list=epsilon_list, trials=1, interior_statistic="max")
+        path = write_spec(tmp_path, epsilon_list=epsilon_list, trials=1)
         out = tmp_path / "o"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
         fits = json.loads((out / "summary.json").read_text())["rate_fits"]
-        responses = ("err_rel_median", "err_abs_max")
+        responses = ("err_rel_median", "err_abs_median", "err_abs_mean", "err_abs_max")
         assert [(f["swept_axis"], f["group_by"], f["group_value"], f["response"]) for f in fits] == [
             ("N", "epsilon", eps, response) for response in responses for eps in fitted_eps
         ] + [("epsilon", "N", n, response) for response in responses for n in fitted_n]
         assert list(fits[0]) == [
             "swept_axis", "group_by", "group_value", "response", "slope", "intercept", "r_squared",
         ]
+
+    def test_interior_statistic_is_not_a_spec_field(self, tmp_path, capsys):
+        # every run fits every error column, so no field selects one
+        path = write_spec(tmp_path, interior_statistic="median")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: invalid experiment spec: unknown spec fields: interior_statistic\n"
+        assert not (out / "results.csv").exists()
 
     def test_killed_helper_is_a_resource_failure(self, tmp_path, monkeypatch, capsys, time_limit):
         path = write_spec(tmp_path)
@@ -489,6 +498,15 @@ class TestDegreeCheckCommand:
         argv = ["degree-check", "--manifold", "circle", "--n", "100", "--epsilon", "0.1", "--seed", "-1"]
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
+
+    def test_grid_negative_seed_exit_1(self, capsys):
+        # a grid cloud draws no random numbers, but its reported seed is still checked
+        argv = ["degree-check", "--manifold", "circle", "--n", "10", "--epsilon", "0.1",
+                "--sampling", "grid", "--seed", "-1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be a nonnegative integer, got -1\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "exc, message",

@@ -103,7 +103,7 @@ class TestExperimentSpec:
     def test_from_dict_defaults(self):
         spec = ExperimentSpec.from_dict(self.minimal())
         assert spec.mode == "dense" and spec.tau == 0.0
-        assert spec.sampling == "random" and spec.interior_statistic == "median"
+        assert spec.sampling == "random"
 
     def test_sparse_default_tau(self):
         spec = ExperimentSpec.from_dict(self.minimal(mode="sparse"))
@@ -154,7 +154,6 @@ class TestExperimentSpec:
             ("master_seed", -3, "master_seed"),
             ("mode", "banded", "mode"),
             ("sampling", "sobol", "sampling"),
-            ("interior_statistic", "p99", "interior_statistic"),
             ("master_seed", 2**64, "nonnegative 64-bit integer"),
             ("master_seed", True, r"master_seed has the wrong type: True"),
             ("trials", 2.9, r"trials has the wrong type: 2.9"),
@@ -185,7 +184,6 @@ class TestExperimentSpec:
             "mode",
             "tau",
             "sampling",
-            "interior_statistic",
         ]
         # lists, not the spec's tuples: a tuple never equals a list
         assert (payload["N_list"], payload["epsilon_list"]) == ([100, 200], [0.05])
@@ -363,6 +361,16 @@ class TestLemmaCheck:
             lemma_check("circle", "sin_theta", 50, epsilon)
         with pytest.raises(ValueError, match="epsilon must be a positive real"):
             degree_check("circle", 50, epsilon)
+
+    @pytest.mark.parametrize("sampling", ["random", "grid"])
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, 2**64])
+    def test_rejects_a_seed_that_is_not_a_64_bit_integer(self, sampling, seed):
+        # grid cells draw no random numbers but are checked alike
+        message = f"^seed must be a nonnegative integer, got {seed}$"
+        with pytest.raises(ValueError, match=message):
+            lemma_check("circle", "sin_theta", 10, 0.1, seed=seed, sampling=sampling)
+        with pytest.raises(ValueError, match=message):
+            degree_check("circle", 10, 0.1, seed=seed, sampling=sampling)
 
     def test_low_neighbor_warning(self):
         with pytest.warns(UserWarning, match="too few neighbors"):

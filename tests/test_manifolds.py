@@ -167,6 +167,20 @@ class TestSamplers:
         with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got -1$"):
             sample("circle", 10, seed=-1)
 
+    @pytest.mark.parametrize(
+        "seed",
+        [2.5, 2.0, True, np.True_, 2**64, "2"],
+        ids=["fraction", "float", "bool", "numpy-bool", "2**64", "string"],
+    )
+    def test_rejects_a_seed_that_is_not_a_64_bit_integer(self, seed):
+        # int() would truncate 2.5 to 2 and read True as 1
+        with pytest.raises(ValueError, match=f"^seed must be a nonnegative integer, got {seed}$"):
+            sample("circle", 4, seed=seed)
+
+    def test_numpy_integer_seed_is_its_value(self):
+        expected = sample("circle", 4, seed=2**64 - 1).points
+        assert np.array_equal(sample("circle", 4, seed=np.uint64(2**64 - 1)).points, expected)
+
 
 class TestGridSample:
     def test_circle_four_points(self):
