@@ -1,86 +1,23 @@
-"""Discrete calculus on Gaussian-kernel graphs and a manifold convergence lab."""
+"""Discrete calculus on Gaussian-kernel graphs and a manifold convergence lab.
+
+Each public name is listed once, in its module's __all__; the package
+re-exports those lists.
+"""
 
 __version__ = "0.1.0"
 
-from .calculus import (
-    divergence,
-    gradient,
-    inner_edge,
-    inner_vertex,
-    laplacian_apply,
-    laplacian_matrix,
-    normalized_laplacian_matrix,
-)
-from .convergence import (
-    CellResult,
-    DegreeCheckResult,
-    ExperimentSpec,
-    LemmaCheckResult,
-    RateFit,
-    SweepResult,
-    degree_check,
-    derive_cell_seed,
-    fit_rate_xy,
-    lemma_check,
-    sweep,
-)
-from .graph_core import (
-    KernelConfig,
-    PointCloud,
-    build_weights,
-    degrees,
-    degrees_from_cloud,
-    kernel_matvec,
-    laplacian_from_cloud,
-)
-from .manifolds import (
-    MANIFOLDS,
-    ManifoldDescriptor,
-    TestFunction,
-    eval_pair,
-    get_function,
-    get_manifold,
-    grid_sample,
-    manifold_names,
-    sample,
-)
-from .verification import run_invariant_suite
+from . import calculus, convergence, graph_core, manifolds, verification
+from .calculus import *  # noqa: F403
+from .convergence import *  # noqa: F403
+from .graph_core import *  # noqa: F403
+from .manifolds import *  # noqa: F403
+from .verification import *  # noqa: F403
 
 __all__ = [
     "__version__",
-    "PointCloud",
-    "KernelConfig",
-    "build_weights",
-    "degrees",
-    "degrees_from_cloud",
-    "kernel_matvec",
-    "laplacian_from_cloud",
-    "gradient",
-    "divergence",
-    "laplacian_apply",
-    "laplacian_matrix",
-    "normalized_laplacian_matrix",
-    "inner_vertex",
-    "inner_edge",
-    "MANIFOLDS",
-    "ManifoldDescriptor",
-    "TestFunction",
-    "get_manifold",
-    "get_function",
-    "manifold_names",
-    "sample",
-    "grid_sample",
-    "eval_pair",
-    "ExperimentSpec",
-    "CellResult",
-    "SweepResult",
-    "LemmaCheckResult",
-    "DegreeCheckResult",
-    "RateFit",
-    "lemma_check",
-    "degree_check",
-    "sweep",
-    "fit_rate_xy",
-    "derive_cell_seed",
-    "run_invariant_suite",
+    *calculus.__all__,
+    *convergence.__all__,
+    *graph_core.__all__,
+    *manifolds.__all__,
+    *verification.__all__,
 ]

@@ -46,7 +46,7 @@ from .graph_core import (
     degrees_from_cloud,
     laplacian_from_cloud,
 )
-from .manifolds import get_manifold, registry_payload
+from .manifolds import SAMPLINGS, get_manifold, registry_payload
 from .verification import run_invariant_suite
 
 log = logging.getLogger("graph_calculus.cli")
@@ -113,7 +113,7 @@ def _build_parser() -> _Parser:
     deg.add_argument("--n", type=int, required=True)
     deg.add_argument("--epsilon", type=float, required=True)
     deg.add_argument("--seed", type=int, default=0)
-    deg.add_argument("--sampling", choices=("random", "grid"), default="random")
+    deg.add_argument("--sampling", choices=SAMPLINGS, default="random")
     deg.add_argument("--tau", type=float, default=0.0)
 
     for name in ("grad", "div", "laplacian"):

@@ -34,8 +34,10 @@ import numpy as np
 from .csvio import output_key, record_dict
 from .graph_core import KernelConfig, PointCloud, degrees_from_cloud, laplacian_from_cloud
 from .manifolds import (
+    SAMPLINGS,
     ManifoldDescriptor,
     check_seed,
+    check_size,
     eval_pair,
     get_function,
     get_manifold,
@@ -64,7 +66,6 @@ __all__ = [
 log = logging.getLogger("graph_calculus.convergence")
 
 _MODES = ("dense", "sparse")
-_SAMPLINGS = ("random", "grid")
 
 # Default truncation threshold for sparse sweeps. Weights this small are
 # ~8 standard deviations out and contribute nothing at double precision.
@@ -118,8 +119,8 @@ class ExperimentSpec:
             raise ValueError("N_list must be non-empty")
         if not self.epsilon_list:
             raise ValueError("epsilon_list must be non-empty")
-        if any(n < 2 for n in self.n_list):
-            raise ValueError("all N in N_list must be >= 2")
+        for n in self.n_list:
+            check_size(n)
         for e in self.epsilon_list:
             KernelConfig(epsilon=e, truncation_tau=self.tau)  # raises on a bad epsilon or tau
         if self.trials < 1:
@@ -132,7 +133,7 @@ class ExperimentSpec:
             raise ValueError("dense mode is exact: tau must be 0")
         if self.mode == "sparse" and not self.tau > 0.0:
             raise ValueError("sparse mode requires 0 < tau < 1")
-        _check_choice("sampling", self.sampling, _SAMPLINGS)
+        _check_choice("sampling", self.sampling, SAMPLINGS)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentSpec":
@@ -266,7 +267,7 @@ def _cell_setup(manifold, n: int, epsilon: float, seed: int, sampling: str, pin_
     sees fewer than one neighbor on average.
     """
     m = get_manifold(manifold)
-    _check_choice("sampling", sampling, _SAMPLINGS)
+    _check_choice("sampling", sampling, SAMPLINGS)
     check_seed(seed)  # a grid cell draws nothing, yet degree_check reports its seed
     if sampling == "grid":
         cloud = grid_sample(m, n)

@@ -97,10 +97,12 @@ class KernelConfig:
     truncation_tau: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.epsilon) or self.epsilon <= 0:
-            raise ValueError(f"epsilon must be a positive real, got {self.epsilon}")
-        if not (0.0 <= self.truncation_tau < 1.0):
-            raise ValueError(f"truncation_tau must lie in [0, 1), got {self.truncation_tau}")
+        # a bool or string is refused, not read as a number: True would run at eps 1.0
+        eps, tau = self.epsilon, self.truncation_tau
+        if isinstance(eps, (bool, np.bool_, str)) or not np.isfinite(eps) or eps <= 0:
+            raise ValueError(f"epsilon must be a positive real, got {eps}")
+        if isinstance(tau, (bool, np.bool_, str)) or not 0.0 <= tau < 1.0:
+            raise ValueError(f"truncation_tau must lie in [0, 1), got {tau}")
 
 
 def _check_vertex_function(f, n: int) -> np.ndarray:

@@ -233,14 +233,23 @@ def check_seed(seed) -> None:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
 
 
+def check_size(n) -> None:
+    """Refuse a point count below 2 or not an integer: int() would take 4.5 as 4, True as 1."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValueError(f"N must be an integer >= 2, got {n}")
+
+
+# How a cell's cloud is drawn: i.i.d. uniform by sample(), or grid_sample()'s grid.
+SAMPLINGS = ("random", "grid")
+
+
 def sample(manifold: ManifoldDescriptor | str, n: int, seed: int) -> PointCloud:
     """Draw n i.i.d. uniform points on the manifold (PCG64, deterministic in seed)."""
     m = get_manifold(manifold)
-    if n < 2:
-        raise ValueError(f"need n >= 2 sample points, got {n}")
+    check_size(n)
     check_seed(seed)
     rng = np.random.default_rng(int(seed))
-    return PointCloud(points=m._sampler(rng, int(n)))
+    return PointCloud(points=m._sampler(rng, n))
 
 
 def grid_sample(manifold: ManifoldDescriptor | str, n: int) -> PointCloud:
@@ -251,9 +260,8 @@ def grid_sample(manifold: ManifoldDescriptor | str, n: int) -> PointCloud:
     perfect square; the sphere uses a Fibonacci lattice.
     """
     m = get_manifold(manifold)
-    if n < 2:
-        raise ValueError(f"need n >= 2 grid points, got {n}")
-    return PointCloud(points=m._grid(int(n)))
+    check_size(n)
+    return PointCloud(points=m._grid(n))
 
 
 def eval_pair(manifold: ManifoldDescriptor | str, fn_id: str, cloud: PointCloud):

@@ -29,6 +29,7 @@ from .graph_core import (
     degrees_from_cloud,
     laplacian_from_cloud,
 )
+from .manifolds import check_size
 
 __all__ = ["InvariantReport", "run_invariant_suite", "VERIFY_MAX_N"]
 
@@ -74,10 +75,9 @@ def _divgrad_matrix(w: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def run_invariant_suite(n: int = 100, n_seeds: int = 5) -> list[InvariantReport]:
     """Worst residual per invariant over `n_seeds` random Gaussian clouds in R^3."""
+    check_size(n)
     if n > VERIFY_MAX_N:
         raise ValueError(f"verification runs dense; N must be <= {VERIFY_MAX_N}, got {n}")
-    if n < 2:
-        raise ValueError("need N >= 2")
     if n_seeds < 1:
         raise ValueError(f"need at least 1 seed, got {n_seeds}")
     worst = dict.fromkeys(_TOLERANCES, 0.0)

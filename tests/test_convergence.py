@@ -461,6 +461,17 @@ class TestDegreeCheck:
         assert res.stats.prediction_mean == pytest.approx(1.0 + 0.05 * 2.0 / 6.0)
 
 
+@pytest.mark.parametrize(
+    "check",
+    [lambda n: lemma_check("circle", "sin_theta", n, 0.05), lambda n: degree_check("circle", n, 0.05)],
+    ids=["lemma_check", "degree_check"],
+)
+def test_cell_refuses_a_fractional_n(check):
+    # the sampler would otherwise draw 50 points and report N = 50
+    with pytest.raises(ValueError, match="^N must be an integer >= 2, got 50.7$"):
+        check(50.7)
+
+
 class TestClassifyRegime:
     def test_grid_moderate_is_bias(self):
         assert classify_regime(1, 2 * np.pi, 4000, 0.005, "grid") == "bias"

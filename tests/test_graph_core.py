@@ -88,12 +88,13 @@ class TestPointCloud:
 
 
 class TestKernelConfig:
-    @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf])
+    # a bool or string is refused, not read as a number: True would run at eps 1.0
+    @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf, True, np.True_, "0.5"])
     def test_bad_epsilon(self, eps):
         with pytest.raises(ValueError, match="epsilon"):
             KernelConfig(epsilon=eps)
 
-    @pytest.mark.parametrize("tau", [-0.1, 1.0, 1.5])
+    @pytest.mark.parametrize("tau", [-0.1, 1.0, 1.5, False, np.False_, "0"])
     def test_bad_tau(self, tau):
         with pytest.raises(ValueError, match="truncation_tau"):
             KernelConfig(epsilon=1.0, truncation_tau=tau)

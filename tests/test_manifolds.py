@@ -213,6 +213,23 @@ class TestGridSample:
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize(
+    "draw", [lambda n: sample("circle", n, seed=1), lambda n: grid_sample("circle", n)],
+    ids=["sample", "grid_sample"],
+)
+class TestPointCount:
+    @pytest.mark.parametrize(
+        "n", [4.5, np.float64(3.0), True, 1], ids=["fraction", "numpy-float", "bool", "one"]
+    )
+    def test_refuses_a_count_that_is_not_an_integer_of_at_least_2(self, draw, n):
+        # int() would truncate 4.5 to 4 and read True as 1
+        with pytest.raises(ValueError, match=f"^N must be an integer >= 2, got {n}$"):
+            draw(n)
+
+    def test_numpy_integer_count_is_its_value(self, draw):
+        assert draw(np.int64(5)).n_points == 5
+
+
 class TestEvalPair:
     def test_circle_sin_eigenfunctions(self):
         cloud = sample("circle", 200, seed=3)

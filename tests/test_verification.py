@@ -39,3 +39,8 @@ def test_corrupted_weight_matrix_breaks_adjointness(monkeypatch):
 def test_n_above_dense_cap_rejected():
     with pytest.raises(ValueError, match="<= 1000"):
         run_invariant_suite(n=1001)
+
+
+def test_fractional_n_rejected():
+    with pytest.raises(ValueError, match="^N must be an integer >= 2, got 4.5$"):
+        run_invariant_suite(n=4.5)
