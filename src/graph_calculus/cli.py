@@ -46,7 +46,7 @@ from .graph_core import (
     degrees_from_cloud,
     laplacian_from_cloud,
 )
-from .manifolds import SAMPLINGS, get_manifold, registry_payload
+from .manifolds import SAMPLINGS, check_integer, get_manifold, registry_payload
 from .verification import run_invariant_suite
 
 log = logging.getLogger("graph_calculus.cli")
@@ -178,8 +178,7 @@ _SUMMARY_CELL_FIELDS = ("n", "epsilon", "trial", "seed", "regime", "wall_ms")
 
 
 def _cmd_run(args) -> int:
-    if args.parallelism < 1:
-        raise ValueError(f"--parallelism must be >= 1, got {args.parallelism}")
+    check_integer(args.parallelism, "--parallelism", 1)  # before --out is made
     config = Path(args.config)
     if not config.is_file():
         raise ValueError(f"config file not found: {config}")

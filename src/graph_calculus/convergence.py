@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import operator
 import os
 import time
 import warnings
@@ -32,12 +31,11 @@ from typing import Sequence
 import numpy as np
 
 from .csvio import output_key, record_dict
-from .graph_core import KernelConfig, PointCloud, degrees_from_cloud, laplacian_from_cloud
+from .graph_core import KernelConfig, PointCloud, _check_degrees, degrees_from_cloud, laplacian_from_cloud
 from .manifolds import (
     SAMPLINGS,
     ManifoldDescriptor,
-    check_seed,
-    check_size,
+    check_integer,
     eval_pair,
     get_function,
     get_manifold,
@@ -81,10 +79,10 @@ def _check_choice(name: str, value: str, choices: tuple) -> None:
         raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
-def _number(convert, value):
+def _float(value) -> float:
     if isinstance(value, (bool, str)):  # float() would read true as 1.0, "0.5" as 0.5
         raise TypeError(f"{value!r} is not a number")
-    return convert(value)
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -104,29 +102,23 @@ class ExperimentSpec:
     def __post_init__(self):
         get_function(self.manifold, self.function)  # raises with the list of valid ids
         for field, convert in (
-            ("n_list", lambda v: tuple(_number(operator.index, n) for n in v)),
-            ("epsilon_list", lambda v: tuple(_number(float, e) for e in v)),
-            ("trials", lambda v: _number(operator.index, v)),
-            ("master_seed", lambda v: _number(operator.index, v)),
-            ("tau", lambda v: _number(float, v)),
+            ("n_list", lambda v: tuple(check_integer(n, "N_list entry", 2) for n in v)),
+            ("epsilon_list", lambda v: tuple(map(_float, v))),
+            ("trials", lambda v: check_integer(v, "trials", 1)),
+            ("master_seed", lambda v: check_integer(v, "master_seed")),
+            ("tau", _float),
         ):
             value = getattr(self, field)
-            try:
+            try:  # a TypeError is a value of the wrong JSON type; check_integer raises ValueError
                 object.__setattr__(self, field, convert(value))
-            except (TypeError, ValueError):
+            except TypeError:
                 raise ValueError(f"{output_key(field)} has the wrong type: {value!r}") from None
         if not self.n_list:
             raise ValueError("N_list must be non-empty")
         if not self.epsilon_list:
             raise ValueError("epsilon_list must be non-empty")
-        for n in self.n_list:
-            check_size(n)
         for e in self.epsilon_list:
             KernelConfig(epsilon=e, truncation_tau=self.tau)  # raises on a bad epsilon or tau
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master_seed must be a nonnegative 64-bit integer")
         # KernelConfig has checked tau's range [0, 1); the mode must pair with it
         _check_choice("mode", self.mode, _MODES)
         if self.mode == "dense" and self.tau != 0.0:
@@ -268,7 +260,7 @@ def _cell_setup(manifold, n: int, epsilon: float, seed: int, sampling: str, pin_
     """
     m = get_manifold(manifold)
     _check_choice("sampling", sampling, SAMPLINGS)
-    check_seed(seed)  # a grid cell draws nothing, yet degree_check reports its seed
+    check_integer(seed, "seed")  # a grid cell draws nothing, yet degree_check reports its seed
     if sampling == "grid":
         cloud = grid_sample(m, n)
     else:
@@ -358,7 +350,7 @@ def degree_check(
     """
     kernel = KernelConfig(epsilon=epsilon, truncation_tau=tau)
     m, cloud, warned, regime = _cell_setup(manifold, n, epsilon, seed, sampling, pin_anchor=False)
-    d = degrees_from_cloud(cloud, kernel)
+    d = _check_degrees(degrees_from_cloud(cloud, kernel), cloud.n_points)
     return DegreeCheckResult(
         manifold=m.name,
         n=cloud.n_points,
@@ -463,8 +455,8 @@ def _usable_cpus() -> int | None:
 
 
 def _pool_width(parallelism: int, n_jobs: int) -> int:
-    """min(parallelism, n_jobs, usable CPUs) workers, at least 1, and 1 without fork."""
-    width = max(1, min(int(parallelism), n_jobs, _usable_cpus() or 1))
+    """min(parallelism, n_jobs, usable CPUs) workers, and 1 without fork."""
+    width = min(parallelism, n_jobs, _usable_cpus() or 1)
     return width if hasattr(os, "fork") else 1
 
 
@@ -550,13 +542,14 @@ def sweep(spec: ExperimentSpec, parallelism: int = 1) -> SweepResult:
     """Run every (N, epsilon, trial) cell of the spec.
 
     Cells are independent. They run on min(parallelism, cells, usable CPUs)
-    workers: this process and one fewer forked helper processes, or this
-    process alone when that width is 1 or the platform cannot fork. A
-    cell's kernel products stay on the thread that runs it, so each worker
-    keeps to one CPU. The result table is in spec order regardless of
-    completion order, and cell seeds are derived from values, so the
-    numbers are identical at any parallelism.
+    workers, parallelism an integer >= 1: this process and one fewer forked
+    helper processes, or this process alone when that width is 1 or the
+    platform cannot fork. A cell's kernel products stay on the thread that
+    runs it, so each worker keeps to one CPU. The result table is in spec
+    order regardless of completion order, and cell seeds are derived from
+    values, so the numbers are identical at any parallelism.
     """
+    parallelism = check_integer(parallelism, "parallelism", 1)
     cells = [
         (n, eps, t)
         for n in spec.n_list

@@ -4,6 +4,8 @@ the normalized Laplacian applied to a vertex function."""
 from __future__ import annotations
 
 import logging
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +86,11 @@ class PointCloud:
         return cls(points=read_matrix_csv(path))
 
 
+def _real(x) -> bool:
+    """A real number, numpy's included, and not a bool: True would run at eps 1.0."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class KernelConfig:
     """Gaussian kernel parameters.
@@ -97,11 +104,10 @@ class KernelConfig:
     truncation_tau: float = 0.0
 
     def __post_init__(self):
-        # a bool or string is refused, not read as a number: True would run at eps 1.0
         eps, tau = self.epsilon, self.truncation_tau
-        if isinstance(eps, (bool, np.bool_, str)) or not np.isfinite(eps) or eps <= 0:
+        if not (_real(eps) and math.isfinite(eps) and eps > 0):
             raise ValueError(f"epsilon must be a positive real, got {eps}")
-        if isinstance(tau, (bool, np.bool_, str)) or not 0.0 <= tau < 1.0:
+        if not (_real(tau) and 0.0 <= tau < 1.0):
             raise ValueError(f"truncation_tau must lie in [0, 1), got {tau}")
 
 
@@ -118,6 +124,8 @@ def _check_degrees(d, n: int) -> np.ndarray:
     d = np.asarray(d, dtype=np.float64)
     if d.shape != (n,):
         raise ValueError(f"degree vector has shape {d.shape}, expected ({n},)")
+    if not np.isfinite(d).all():
+        raise ValueError("degrees must be finite (an infinite or NaN degree found)")
     if not (d > 0).all():
         raise ValueError("degrees must be strictly positive (zero or negative degree found)")
     return d
@@ -284,10 +292,14 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig):
     two columns swapped, a column-major copy, times aug^T[:, cols], a
     row-major view or gathered copy, is ln W: a tile is one GEMM into a
     reused buffer, then an in-place exp, zeroing the entries below ln tau
-    if masked. ln W <= 0, up to roundoff, cannot overflow at any offset or
-    eps. GEMM roundoff is not symmetric in u and v, so a diagonal tile is
-    not exactly symmetric. The next tile overwrites the buffer, so a pass
-    needs O(N + _TILE^2) memory at any N.
+    if masked. ln W <= 0 up to roundoff of a few ulps of max |ys|^2, which
+    passes exp's overflow point 709 only at eps below about 1e-19 times the
+    cloud's squared radius, and only where ln W is 0 within it: a diagonal
+    tile's diagonal, written -inf before the exp so that it comes out +0.0,
+    and pairs of points that all but coincide. GEMM roundoff is not
+    symmetric in u and v, so a diagonal tile is not exactly symmetric. The
+    next tile overwrites the buffer, so a pass needs O(N + _TILE^2) memory
+    at any N.
     """
     plan = _pass_plan(cloud, kernel)
     aug_t, ln_tau = plan.aug_t, plan.ln_tau
@@ -305,12 +317,12 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig):
                 np.take(aug_t, cols, axis=1, out=rhs)
             block = tile[: len(lhs) * rhs.shape[1]].reshape(len(lhs), -1)
             np.matmul(lhs, rhs, out=block)
+            if cols is rows:
+                tile[: block.size : len(block) + 1] = -np.inf  # the square block's diagonal, +0.0 after exp
             if masked:
                 _threshold_exp(block, ln_tau, keep)
             else:
                 np.exp(block, out=block)
-            if cols is rows:
-                tile[: block.size : len(block) + 1] = 0.0  # the diagonal of the square block
             yield rows, cols, block
 
 

@@ -227,16 +227,17 @@ def get_function(manifold: ManifoldDescriptor | str, fn_id: str) -> TestFunction
         ) from None
 
 
-def check_seed(seed) -> None:
-    """Refuse a seed outside [0, 2**64) or not an integer: int() would take 2.5 as 2, True as 1."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+def check_integer(value, name: str, low: int = 0, high: int = 2**64) -> int:
+    """value as an int, refused unless an int or numpy integer, not a bool, in [low, high).
 
-
-def check_size(n) -> None:
-    """Refuse a point count below 2 or not an integer: int() would take 4.5 as 4, True as 1."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError(f"N must be an integer >= 2, got {n}")
+    The one rule for every count, seed and worker width: int() would take
+    2.5 as 2, True as 1 and "2" as 2. high defaults to the seed range of
+    numpy's generators, 2**64, which bounds any count too.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not low <= value < high:
+        rule = "a nonnegative integer" if low == 0 else f"an integer >= {low}"
+        raise ValueError(f"{name} must be {rule}, got {value}")
+    return int(value)
 
 
 # How a cell's cloud is drawn: i.i.d. uniform by sample(), or grid_sample()'s grid.
@@ -246,9 +247,8 @@ SAMPLINGS = ("random", "grid")
 def sample(manifold: ManifoldDescriptor | str, n: int, seed: int) -> PointCloud:
     """Draw n i.i.d. uniform points on the manifold (PCG64, deterministic in seed)."""
     m = get_manifold(manifold)
-    check_size(n)
-    check_seed(seed)
-    rng = np.random.default_rng(int(seed))
+    n = check_integer(n, "N", 2)
+    rng = np.random.default_rng(check_integer(seed, "seed"))
     return PointCloud(points=m._sampler(rng, n))
 
 
@@ -260,8 +260,7 @@ def grid_sample(manifold: ManifoldDescriptor | str, n: int) -> PointCloud:
     perfect square; the sphere uses a Fibonacci lattice.
     """
     m = get_manifold(manifold)
-    check_size(n)
-    return PointCloud(points=m._grid(n))
+    return PointCloud(points=m._grid(check_integer(n, "N", 2)))
 
 
 def eval_pair(manifold: ManifoldDescriptor | str, fn_id: str, cloud: PointCloud):

@@ -29,7 +29,7 @@ from .graph_core import (
     degrees_from_cloud,
     laplacian_from_cloud,
 )
-from .manifolds import check_size
+from .manifolds import check_integer
 
 __all__ = ["InvariantReport", "run_invariant_suite", "VERIFY_MAX_N"]
 
@@ -75,11 +75,10 @@ def _divgrad_matrix(w: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def run_invariant_suite(n: int = 100, n_seeds: int = 5) -> list[InvariantReport]:
     """Worst residual per invariant over `n_seeds` random Gaussian clouds in R^3."""
-    check_size(n)
+    check_integer(n, "N", 2)
     if n > VERIFY_MAX_N:
         raise ValueError(f"verification runs dense; N must be <= {VERIFY_MAX_N}, got {n}")
-    if n_seeds < 1:
-        raise ValueError(f"need at least 1 seed, got {n_seeds}")
+    check_integer(n_seeds, "n_seeds", 1)
     worst = dict.fromkeys(_TOLERANCES, 0.0)
     for s in range(n_seeds):
         rng = np.random.default_rng(s)

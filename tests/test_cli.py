@@ -317,7 +317,7 @@ class TestRun:
         out = tmp_path / "o"
         code = main(["run", "--config", str(spec_file), "--out", str(out), "--parallelism", k])
         assert code == 1
-        assert f"--parallelism must be >= 1, got {k}" in capsys.readouterr().err
+        assert f"--parallelism must be an integer >= 1, got {k}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_output_files_follow_umask(self, tmp_path):
@@ -454,7 +454,7 @@ class TestVerifyCommand:
     def test_no_seeds_exit_1(self, capsys, seeds):
         assert main(["verify", "--n", "60", "--seeds", seeds]) == 1
         captured = capsys.readouterr()
-        assert captured.err == f"error: need at least 1 seed, got {seeds}\n"
+        assert captured.err == f"error: n_seeds must be an integer >= 1, got {seeds}\n"
         assert "PASS" not in captured.out
 
 
@@ -493,6 +493,15 @@ class TestDegreeCheckCommand:
         code = main(["degree-check", "--manifold", "circle", "--n", "10", "--epsilon", "-1"])
         assert code == 1
         assert "epsilon must be a positive real, got -1.0" in capsys.readouterr().err
+
+    def test_non_finite_degrees_exit_1(self, capsys):
+        # at eps 1e-310 the degrees come out NaN: an error, not a JSON of NaNs
+        argv = ["degree-check", "--manifold", "circle", "--n", "50", "--epsilon", "1e-310"]
+        with np.errstate(all="ignore"), pytest.warns(UserWarning, match="too few neighbors"):
+            assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: degrees must be finite")
+        assert captured.out == ""
 
     def test_negative_seed_exit_1(self, capsys):
         argv = ["degree-check", "--manifold", "circle", "--n", "100", "--epsilon", "0.1", "--seed", "-1"]

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import signal
 
 import numpy as np
@@ -21,8 +22,10 @@ from graph_calculus import (
     derive_cell_seed,
     eval_pair,
     fit_rate_xy,
+    grid_sample,
     laplacian_apply,
     lemma_check,
+    run_invariant_suite,
     sample,
     sweep,
 )
@@ -154,10 +157,10 @@ class TestExperimentSpec:
             ("master_seed", -3, "master_seed"),
             ("mode", "banded", "mode"),
             ("sampling", "sobol", "sampling"),
-            ("master_seed", 2**64, "nonnegative 64-bit integer"),
-            ("master_seed", True, r"master_seed has the wrong type: True"),
-            ("trials", 2.9, r"trials has the wrong type: 2.9"),
-            ("N_list", [500.0], r"N_list has the wrong type: \[500.0\]"),
+            ("master_seed", 2**64, "nonnegative integer"),
+            ("master_seed", True, "^master_seed must be a nonnegative integer, got True$"),
+            ("trials", 2.9, "^trials must be an integer >= 1, got 2.9$"),
+            ("N_list", [500.0], "^N_list entry must be an integer >= 2, got 500.0$"),
             ("epsilon_list", [True], r"epsilon_list has the wrong type: \[True\]"),
         ],
     )
@@ -460,6 +463,12 @@ class TestDegreeCheck:
         res = degree_check("sphere", 500, 0.05, seed=2)
         assert res.stats.prediction_mean == pytest.approx(1.0 + 0.05 * 2.0 / 6.0)
 
+    def test_non_finite_degrees_are_refused(self):
+        # at eps 1e-310, |ys|^2 overflows to inf and the degrees come out NaN
+        with np.errstate(all="ignore"), pytest.warns(UserWarning, match="too few neighbors"):
+            with pytest.raises(ValueError, match="^degrees must be finite"):
+                degree_check("circle", 50, 1e-310)
+
 
 @pytest.mark.parametrize(
     "check",
@@ -470,6 +479,43 @@ def test_cell_refuses_a_fractional_n(check):
     # the sampler would otherwise draw 50 points and report N = 50
     with pytest.raises(ValueError, match="^N must be an integer >= 2, got 50.7$"):
         check(50.7)
+
+
+_SPEC = dict(manifold="circle", function="sin_theta", N_list=[30], epsilon_list=[0.05], trials=1, master_seed=0)
+
+# each integer input: (a call with the value, its name in the message, its lowest value)
+_INTEGER_INPUTS = {
+    "sample-N": (lambda v: sample("circle", v, seed=1), "N", 2),
+    "sample-seed": (lambda v: sample("circle", 10, seed=v), "seed", 0),
+    "grid_sample-N": (lambda v: grid_sample("circle", v), "N", 2),
+    "lemma_check-N": (lambda v: lemma_check("circle", "sin_theta", v, 0.1), "N", 2),
+    "lemma_check-seed": (lambda v: lemma_check("circle", "sin_theta", 10, 0.1, seed=v), "seed", 0),
+    "degree_check-N": (lambda v: degree_check("circle", v, 0.1), "N", 2),
+    "degree_check-seed": (lambda v: degree_check("circle", 10, 0.1, seed=v), "seed", 0),
+    "from_dict-N_list": (lambda v: ExperimentSpec.from_dict({**_SPEC, "N_list": [v]}), "N_list entry", 2),
+    "from_dict-trials": (lambda v: ExperimentSpec.from_dict({**_SPEC, "trials": v}), "trials", 1),
+    "from_dict-master_seed": (lambda v: ExperimentSpec.from_dict({**_SPEC, "master_seed": v}), "master_seed", 0),
+    "sweep-parallelism": (lambda v: sweep(ExperimentSpec.from_dict(_SPEC), parallelism=v), "parallelism", 1),
+    "run_invariant_suite-n": (lambda v: run_invariant_suite(n=v), "N", 2),
+    "run_invariant_suite-n_seeds": (lambda v: run_invariant_suite(n=10, n_seeds=v), "n_seeds", 1),
+}
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, np.True_, 2.5, "2", None, "below"],
+    ids=["bool", "numpy-bool", "fraction", "string", "none", "below-range"],
+)
+@pytest.mark.parametrize("entry", list(_INTEGER_INPUTS))
+def test_every_integer_input_has_one_rule(entry, value, monkeypatch):
+    # int() would read True as 1, 2.5 as 2 and "2" as 2; no cell may run
+    monkeypatch.setattr(conv, "_run_cell", None)
+    call, name, low = _INTEGER_INPUTS[entry]
+    if value == "below":
+        value = low - 1
+    rule = "a nonnegative integer" if low == 0 else f"an integer >= {low}"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {rule}, got {value}')}$"):
+        call(value)
 
 
 class TestClassifyRegime:
@@ -554,8 +600,6 @@ class TestSweep:
             (64, 4, 10, 4),
             (2, 4, 10, 2),
             (1, 4, 3, 1),
-            (0, 4, 3, 1),
-            (-3, 4, 3, 1),
             (8, 1, 3, 1),
             (8, None, 3, 1),
         ],

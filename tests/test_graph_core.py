@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -88,13 +89,13 @@ class TestPointCloud:
 
 
 class TestKernelConfig:
-    # a bool or string is refused, not read as a number: True would run at eps 1.0
-    @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf, True, np.True_, "0.5"])
+    # only a real number is read as one, not a bool: True would run at eps 1.0
+    @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf, True, np.True_, "0.5", None, [0.1], 1 + 2j])
     def test_bad_epsilon(self, eps):
         with pytest.raises(ValueError, match="epsilon"):
             KernelConfig(epsilon=eps)
 
-    @pytest.mark.parametrize("tau", [-0.1, 1.0, 1.5, False, np.False_, "0"])
+    @pytest.mark.parametrize("tau", [-0.1, 1.0, 1.5, False, np.False_, "0", None, [0.0], 0.5j])
     def test_bad_tau(self, tau):
         with pytest.raises(ValueError, match="truncation_tau"):
             KernelConfig(epsilon=1.0, truncation_tau=tau)
@@ -251,6 +252,16 @@ class TestDegreesFromCloud:
         d_direct = degrees_from_cloud(cloud, kernel)
         d_route = degrees(build_weights(cloud, kernel))
         assert np.abs(d_direct - d_route).max() <= 1e-12 * 230
+
+    @pytest.mark.parametrize("tau", [0.0, 1e-8])
+    def test_tiny_epsilon_leaves_the_self_weight_alone(self, tau):
+        # ln W's roundoff passes exp's overflow point at eps 1e-20, yet the
+        # diagonal is -inf before the exp and every other weight underflows
+        cloud = random_cloud(500, 3, 14)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = degrees_from_cloud(cloud, KernelConfig(epsilon=1e-20, truncation_tau=tau))
+        assert np.array_equal(d, np.ones(500))
 
     def test_handles_blocking_boundaries(self, split_blocks):
         cloud = random_cloud(1201, 2, 13)
@@ -893,6 +904,8 @@ class TestLaplacianFromCloud:
             ([1.0, np.inf, 0.0, 0.0, 0.0], np.ones(5), "non-finite"),
             (np.ones(5), [1.0, 1.0, 0.0, 1.0, 1.0], "strictly positive"),
             (np.ones(5), [1.0, -1.0, 1.0, 1.0, 1.0], "strictly positive"),
+            (np.ones(5), [1.0, np.inf, 1.0, 1.0, 1.0], "degrees must be finite"),
+            (np.ones(5), [1.0, np.nan, 1.0, 1.0, 1.0], "degrees must be finite"),
         ],
     )
     def test_rejects_bad_input(self, f, d, match):
