@@ -616,6 +616,17 @@ class TestSweep:
         assert len(lookups) == 1
         assert [r.trial for r in result.rows] == list(range(cells))
 
+    @pytest.mark.parametrize("parallelism", [0, -3])
+    def test_parallelism_below_one_is_refused(self, monkeypatch, recording_pool, parallelism):
+        # refused before any CPU lookup or cell, where it was once clamped to 1
+        lookups = []
+        monkeypatch.setattr(conv, "_usable_cpus", lambda: lookups.append(4) or 4)
+        spec = self.base_spec(n_list=(30,), epsilon_list=(0.05,), trials=3)
+        msg = f"^parallelism must be an integer >= 1, got {parallelism}$"
+        with pytest.raises(ValueError, match=msg):
+            sweep(spec, parallelism=parallelism)
+        assert recording_pool == [] and lookups == []
+
     def test_pool_width_is_clamped_to_cells(self, monkeypatch, recording_pool):
         monkeypatch.setattr(conv, "_usable_cpus", lambda: 4)
         spec = self.base_spec(n_list=(60,), epsilon_list=(0.05,), trials=2)
