@@ -31,7 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .csvio import output_key, record_dict
-from .graph_core import KernelConfig, PointCloud, _check_degrees, degrees_from_cloud, laplacian_from_cloud
+from .graph_core import KernelConfig, PointCloud, _check_degrees, check_real
+from .graph_core import degrees_from_cloud, laplacian_from_cloud
 from .manifolds import (
     SAMPLINGS,
     ManifoldDescriptor,
@@ -79,12 +80,6 @@ def _check_choice(name: str, value: str, choices: tuple) -> None:
         raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
-def _float(value) -> float:
-    if isinstance(value, (bool, str)):  # float() would read true as 1.0, "0.5" as 0.5
-        raise TypeError(f"{value!r} is not a number")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Declarative sweep over (N, epsilon, trial seeds) for one manifold/function."""
@@ -103,13 +98,13 @@ class ExperimentSpec:
         get_function(self.manifold, self.function)  # raises with the list of valid ids
         for field, convert in (
             ("n_list", lambda v: tuple(check_integer(n, "N_list entry", 2) for n in v)),
-            ("epsilon_list", lambda v: tuple(map(_float, v))),
+            ("epsilon_list", lambda v: tuple(check_real(e, "epsilon_list entry") for e in v)),
             ("trials", lambda v: check_integer(v, "trials", 1)),
             ("master_seed", lambda v: check_integer(v, "master_seed")),
-            ("tau", _float),
+            ("tau", lambda v: check_real(v, "tau")),
         ):
             value = getattr(self, field)
-            try:  # a TypeError is a value of the wrong JSON type; check_integer raises ValueError
+            try:  # a TypeError is a list field that is not a list; the checks raise ValueError
                 object.__setattr__(self, field, convert(value))
             except TypeError:
                 raise ValueError(f"{output_key(field)} has the wrong type: {value!r}") from None
@@ -354,7 +349,7 @@ def degree_check(
     return DegreeCheckResult(
         manifold=m.name,
         n=cloud.n_points,
-        epsilon=float(epsilon),
+        epsilon=kernel.epsilon,
         seed=seed,
         sampling=sampling,
         stats=_degree_stats(d, m, cloud.points, epsilon),

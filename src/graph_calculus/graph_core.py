@@ -86,9 +86,14 @@ class PointCloud:
         return cls(points=read_matrix_csv(path))
 
 
-def _real(x) -> bool:
-    """A real number, numpy's included, and not a bool: True would run at eps 1.0."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+def check_real(value, name: str) -> float:
+    """value as a float: a real number, numpy's included, but no bool (True would run at eps 1.0)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the largest float
+        raise ValueError(f"{name} is too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -104,11 +109,12 @@ class KernelConfig:
     truncation_tau: float = 0.0
 
     def __post_init__(self):
-        eps, tau = self.epsilon, self.truncation_tau
-        if not (_real(eps) and math.isfinite(eps) and eps > 0):
-            raise ValueError(f"epsilon must be a positive real, got {eps}")
-        if not (_real(tau) and 0.0 <= tau < 1.0):
-            raise ValueError(f"truncation_tau must lie in [0, 1), got {tau}")
+        object.__setattr__(self, "epsilon", check_real(self.epsilon, "epsilon"))
+        object.__setattr__(self, "truncation_tau", check_real(self.truncation_tau, "truncation_tau"))
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be a positive real, got {self.epsilon}")
+        if not 0.0 <= self.truncation_tau < 1.0:
+            raise ValueError(f"truncation_tau must lie in [0, 1), got {self.truncation_tau}")
 
 
 def _check_vertex_function(f, n: int) -> np.ndarray:
@@ -161,7 +167,6 @@ def _tile_order(points: np.ndarray) -> np.ndarray:
 class _PassPlan:
     order: np.ndarray  # the pass's positions: its (u, v) is W[order[u], order[v]]
     aug_t: np.ndarray  # row-major rows ys, -|ys|^2 / 2 and 1, one column per position
-    ln_tau: float
     # per tile row: (rows, [cols of each computed tile], [its masked flag],
     # the full column tiles it trims, their kept-column bits)
     layout: list
@@ -183,18 +188,17 @@ def _pass_plan(cloud: PointCloud, kernel: KernelConfig) -> _PassPlan:
         return plan
     n, tau = cloud.n_points, kernel.truncation_tau
     tiles = [slice(i0, min(i0 + _TILE, n)) for i0 in range(0, n, _TILE)]
+    order = _tile_order(cloud.points) if tau > 0.0 else np.arange(n)
+    aug_t = _augmented(cloud.points, order, kernel.epsilon)
     if tau > 0.0:
-        order = _tile_order(cloud.points)
-        aug_t = _augmented(cloud.points, order, kernel.epsilon)
-        plan = _PassPlan(order, aug_t, np.log(tau), _tile_classes(aug_t, tiles, tau))
+        layout = _tile_classes(aug_t, tiles, tau)
     else:
-        order = np.arange(n)
         untrimmed = np.empty(0, dtype=np.intp), np.empty((0, 0), dtype=np.uint8)
         layout = [
             (rows, tiles[bi:], [False] * (len(tiles) - bi), *untrimmed) for bi, rows in enumerate(tiles)
         ]
-        plan = _PassPlan(order, _augmented(cloud.points, order, kernel.epsilon), -np.inf, layout)
     order.setflags(write=False)
+    plan = _PassPlan(order, aug_t, layout)
     object.__setattr__(cloud, "_plan", (key, plan))
     return plan
 
@@ -203,6 +207,11 @@ def _augmented(x, order, epsilon):
     """aug^T, the row-major transpose of aug = [ys, -h, 1] of the points x in the
     given order, centred once and scaled, ys = (x - mean(x)) / sqrt(eps), and
     h = |ys|^2 / 2: ln W_uv = ys_u.ys_v - h_u - h_v.
+
+    An epsilon at which twice the largest |ys|^2 overflows is refused here,
+    once per plan and before any tile: a tile's product sums terms of that
+    size and would come out inf or NaN. The test is on a Python float, whose
+    overflow to inf, like einsum's, raises no RuntimeWarning.
     """
     ys = x[order] - x.mean(axis=0)
     ys /= np.sqrt(epsilon)
@@ -210,6 +219,8 @@ def _augmented(x, order, epsilon):
     aug_t[:-2] = ys.T
     # summed on the C-order ys: einsum sums a strided layout in another order
     aug_t[-2] = -0.5 * np.einsum("ij,ij->i", ys, ys)
+    if not math.isfinite(-4.0 * float(aug_t[-2].min())):
+        raise ValueError(f"epsilon {epsilon} is too small for this cloud: 2 max |y|^2 / epsilon overflows")
     aug_t[-1] = 1.0
     return aug_t
 
@@ -223,7 +234,7 @@ def _tile_classes(aug_t, tiles, tau):
     plus a roundoff margin: the mask would zero its every entry. It is
     unmasked, a plain exp, where their squared farthest distance is below
     r2 minus the margin: the mask would keep every entry. Otherwise it is
-    masked: the entries with ln W below ln tau are zeroed after the exp.
+    masked: its weights below tau are zeroed after the exp (see _truncate).
     The margin, _ROUNDOFF times r2 plus the pair's largest |ys|^2, bounds
     the GEMM's roundoff. Pairs skip only between compact tiles, hence the
     order. Each plan logs its tile classes and trimmed columns at debug.
@@ -291,8 +302,8 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig):
     self-weight W_uu = 1 is left to the consumer. aug[rows] with its last
     two columns swapped, a column-major copy, times aug^T[:, cols], a
     row-major view or gathered copy, is ln W: a tile is one GEMM into a
-    reused buffer, then an in-place exp, zeroing the entries below ln tau
-    if masked. ln W <= 0 up to roundoff of a few ulps of max |ys|^2, which
+    reused buffer, then an in-place exp and, if masked, _truncate at the
+    kernel's tau. ln W <= 0 up to roundoff of a few ulps of max |ys|^2, which
     passes exp's overflow point 709 only at eps below about 1e-19 times the
     cloud's squared radius, and only where ln W is 0 within it: a diagonal
     tile's diagonal, written -inf before the exp so that it comes out +0.0,
@@ -302,7 +313,7 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig):
     at any N.
     """
     plan = _pass_plan(cloud, kernel)
-    aug_t, ln_tau = plan.aug_t, plan.ln_tau
+    aug_t, tau = plan.aug_t, kernel.truncation_tau
     swap = [*range(len(aug_t) - 2), -1, -2]
     tile, keep = np.empty(_TILE * _TILE), np.empty(_TILE * _TILE, dtype=bool)
     chunk = np.empty(len(aug_t) * _TILE)
@@ -319,10 +330,9 @@ def _kernel_blocks(cloud: PointCloud, kernel: KernelConfig):
             np.matmul(lhs, rhs, out=block)
             if cols is rows:
                 tile[: block.size : len(block) + 1] = -np.inf  # the square block's diagonal, +0.0 after exp
+            np.exp(block, out=block)
             if masked:
-                _threshold_exp(block, ln_tau, keep)
-            else:
-                np.exp(block, out=block)
+                _truncate(block, tau, keep)
             yield rows, cols, block
 
 
@@ -360,11 +370,10 @@ def _gathered(tiles, bits):
     return [near[c0 : c0 + _TILE] for c0 in range(0, len(near), _TILE)]
 
 
-def _threshold_exp(block, ln_tau, keep):
-    """Turn a tile of ln W into W with its entries below exp(ln_tau) zeroed, in place."""
-    kept = np.greater_equal(block, ln_tau, out=keep[: block.size].reshape(block.shape))
-    np.exp(block, out=block)
-    # the block is >= 0, so the dropped entries become +0.0
+def _truncate(block, tau, keep):
+    """Zero the weights below tau of a tile of W in place; keep is a reused bool buffer."""
+    kept = np.greater_equal(block, tau, out=keep[: block.size].reshape(block.shape))
+    # the block is >= 0, so the dropped weights become +0.0
     np.multiply(block, kept, out=block)
 
 
@@ -376,7 +385,8 @@ def build_weights(cloud: PointCloud, kernel: KernelConfig) -> np.ndarray:
 
     The kernel tiles come from the tau = 0 pass of the tile loop shared
     with kernel_matvec, in sample order, as exp(ln W) on the centred cloud.
-    At tau > 0 each tile then has its weights below tau zeroed, so a stored
+    At tau > 0 each tile then has its weights below tau zeroed by _truncate,
+    the test every masked tile of a pass takes, so a stored
     weight is the tau = 0 weight, bit for bit, or +0.0. Each unordered tile
     is computed once and mirrored (a diagonal tile keeps its upper
     triangle), so the result is symmetric bit-for-bit. The diagonal is set
@@ -389,11 +399,11 @@ def build_weights(cloud: PointCloud, kernel: KernelConfig) -> np.ndarray:
         raise ValueError(
             f"stored weight matrix limited to N <= {DENSE_LIMIT} points (got {n})"
         )
-    tau = kernel.truncation_tau
+    tau, keep = kernel.truncation_tau, np.empty(_TILE * _TILE, dtype=bool)
     w = np.zeros((n, n), dtype=np.float64)
     for rows, cols, block in _kernel_blocks(cloud, KernelConfig(kernel.epsilon)):
         if tau > 0.0:
-            block *= block >= tau  # the block is >= 0, so the dropped weights become +0.0
+            _truncate(block, tau, keep)
         if cols is rows:
             w[rows, rows] = np.triu(block) + np.triu(block, 1).T
         else:
@@ -426,13 +436,14 @@ def kernel_matvec(cloud: PointCloud, kernel: KernelConfig, g) -> np.ndarray:
     The same weights as build_weights, but memory stays at one tile instead
     of W's nnz. g is permuted into the order of the cloud's _pass_plan and
     the result back. Each tile, exp(ln W) with its weights below tau zeroed
-    at tau > 0, adds block @ g[cols] to out[rows] and, off the diagonal,
+    by _truncate at tau > 0, adds block @ g[cols] to out[rows] and, off the diagonal,
     g[rows] @ block to out[cols] (a gathered tile's positions are unique).
     The self-weight W_uu = 1 adds g exactly. The ordered tiles at tau > 0,
     and a diagonal tile's full square at every tau, round apart from
     build_weights' own, so the result can differ from build_weights(...) @ g
-    at ~1e-15 relative, as degrees_from_cloud does from degrees, and a
-    weight within roundoff of tau may be kept by one and dropped by the other.
+    at ~1e-15 relative, as degrees_from_cloud does from degrees. Both drop a
+    weight by the same W >= tau test, but a weight within roundoff of tau
+    may come out on either side of it in one and not the other.
     """
     order = _pass_plan(cloud, kernel).order
     g = _check_vertex_function(g, cloud.n_points)[order]

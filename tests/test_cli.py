@@ -104,6 +104,16 @@ class TestRun:
         assert code == 1
         assert "invalid" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "5"])
+    def test_spec_that_is_not_an_object_exit_1(self, tmp_path, capsys, text):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: invalid experiment spec: experiment spec must be a JSON object\n"
+        assert not out.exists()
+
     def test_unknown_spec_field_exit_1(self, tmp_path, capsys):
         path = write_spec(tmp_path, extra_knob=1)
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
@@ -312,6 +322,17 @@ class TestRun:
         assert main(["run", "--config", str(spec_file), "--out", str(out)]) == 0
         assert not [p for p in out.iterdir() if p.suffix == ".tmp"]
 
+    def test_results_path_held_by_a_directory_exit_1(self, spec_file, tmp_path, capsys):
+        # the rename onto a directory fails: the temp file goes and the error is re-raised
+        out = tmp_path / "o"
+        (out / "results.csv").mkdir(parents=True)
+        assert main(["run", "--config", str(spec_file), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "results.csv" in err
+        assert (out / "results.csv").is_dir()
+        assert sorted(p.name for p in out.iterdir()) == ["results.csv"]
+
     @pytest.mark.parametrize("k", ["0", "-2"])
     def test_parallelism_below_one_exit_1(self, spec_file, tmp_path, capsys, k):
         out = tmp_path / "o"
@@ -346,11 +367,13 @@ class TestRun:
             (dict(epsilon_list=[True]), "epsilon_list"),
             (dict(tau=False), "tau"),
             (dict(epsilon_list=["0.05"]), "epsilon_list"),
+            (dict(epsilon_list=[10**400]), "epsilon_list"),
+            (dict(mode="sparse", tau=10**400), "tau"),
         ],
         ids=[
             "tau-null", "N_list-number", "function-list", "N_list-fraction", "N_list-float",
             "trials-fraction", "master_seed-bool", "master_seed-2**70", "epsilon_list-bool",
-            "tau-bool", "epsilon_list-string",
+            "tau-bool", "epsilon_list-string", "epsilon_list-10**400", "tau-10**400",
         ],
     )
     def test_wrongly_typed_spec_field_exit_1(self, tmp_path, capsys, overrides, field):
@@ -359,6 +382,7 @@ class TestRun:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: invalid experiment spec: ")
+        assert err.count("\n") == 1  # one line, no traceback
         assert field in err
         assert not (out / "results.csv").exists()
 
@@ -495,12 +519,13 @@ class TestDegreeCheckCommand:
         assert "epsilon must be a positive real, got -1.0" in capsys.readouterr().err
 
     def test_non_finite_degrees_exit_1(self, capsys):
-        # at eps 1e-310 the degrees come out NaN: an error, not a JSON of NaNs
+        # at eps 1e-310, |ys|^2 overflows: refused before any tile, with no RuntimeWarning
         argv = ["degree-check", "--manifold", "circle", "--n", "50", "--epsilon", "1e-310"]
-        with np.errstate(all="ignore"), pytest.warns(UserWarning, match="too few neighbors"):
+        with pytest.warns(UserWarning, match="too few neighbors"):
             assert main(argv) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: degrees must be finite")
+        text = "epsilon 1e-310 is too small for this cloud: 2 max |y|^2 / epsilon overflows"
+        assert captured.err == f"error: {text}\n"
         assert captured.out == ""
 
     def test_negative_seed_exit_1(self, capsys):
@@ -581,6 +606,14 @@ class TestOperatorCommands:
         )
         assert code == 0
         np.testing.assert_array_equal(read_vector_csv(out), divergence(field, w, d))
+
+    def test_div_refuses_a_field_of_the_wrong_shape(self, graph_inputs, tmp_path, capsys):
+        field_csv, out = tmp_path / "field.csv", tmp_path / "div.csv"
+        write_matrix_csv(field_csv, np.zeros((4, 5)))
+        argv = ["div", "--cloud", str(graph_inputs[0]), "--epsilon", "1.0", "--field", str(field_csv)]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: edge field has shape (4, 5), expected (3, 3)\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, flag", [("grad", "--function"), ("div", "--field")])
     def test_unparsable_input_names_its_file(self, graph_inputs, tmp_path, capsys, command, flag):

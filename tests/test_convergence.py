@@ -161,7 +161,11 @@ class TestExperimentSpec:
             ("master_seed", True, "^master_seed must be a nonnegative integer, got True$"),
             ("trials", 2.9, "^trials must be an integer >= 1, got 2.9$"),
             ("N_list", [500.0], "^N_list entry must be an integer >= 2, got 500.0$"),
-            ("epsilon_list", [True], r"epsilon_list has the wrong type: \[True\]"),
+            ("epsilon_list", [True], "^epsilon_list entry must be a real number, got True$"),
+            pytest.param(
+                "epsilon_list", [10**400], "^epsilon_list entry is too large for a float$", id="eps-10**400"
+            ),
+            pytest.param("tau", 10**400, "^tau is too large for a float$", id="tau-10**400"),
         ],
     )
     def test_field_validation(self, field, value, match):
@@ -245,10 +249,15 @@ class TestRateFit:
             fit_rate_xy([1.0, 2.0], [1.0, 2.0])
         with pytest.raises(ValueError, match="3 distinct"):
             fit_rate_xy([1.0, 1.0, 2.0], [1.0, 1.0, 2.0])
+        # nor are three x values with two responses three points
+        with pytest.raises(ValueError, match=r"^x and y must be equal-length vectors, got \(3,\) and \(2,\)$"):
+            fit_rate_xy([1.0, 2.0, 4.0], [1.0, 2.0])
 
     def test_rejects_nonpositive_responses(self):
         with pytest.raises(ValueError, match="positive"):
             fit_rate_xy([1.0, 2.0, 4.0], [1.0, -2.0, 4.0])
+        with pytest.raises(ValueError, match="^swept-axis values must be positive$"):
+            fit_rate_xy([0.0, 2.0, 4.0], [1.0, 2.0, 4.0])
 
     @staticmethod
     def assert_same_bits(ours, ref):
@@ -464,9 +473,9 @@ class TestDegreeCheck:
         assert res.stats.prediction_mean == pytest.approx(1.0 + 0.05 * 2.0 / 6.0)
 
     def test_non_finite_degrees_are_refused(self):
-        # at eps 1e-310, |ys|^2 overflows to inf and the degrees come out NaN
-        with np.errstate(all="ignore"), pytest.warns(UserWarning, match="too few neighbors"):
-            with pytest.raises(ValueError, match="^degrees must be finite"):
+        # at eps 1e-310, |ys|^2 overflows: refused before any tile, with no RuntimeWarning
+        with pytest.warns(UserWarning, match="too few neighbors"):
+            with pytest.raises(ValueError, match=r"^epsilon 1e-310 is too small for this cloud"):
                 degree_check("circle", 50, 1e-310)
 
 

@@ -89,13 +89,20 @@ class TestPointCloud:
 
 
 class TestKernelConfig:
-    # only a real number is read as one, not a bool: True would run at eps 1.0
-    @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf, True, np.True_, "0.5", None, [0.1], 1 + 2j])
+    # only a real number a float can hold is read as one, not a bool: True
+    # would run at eps 1.0
+    @pytest.mark.parametrize(
+        "eps",
+        [0.0, -1.0, np.nan, np.inf, True, np.True_, "0.5", None, [0.1], 1 + 2j]
+        + [pytest.param(10**400, id="10**400")],
+    )
     def test_bad_epsilon(self, eps):
         with pytest.raises(ValueError, match="epsilon"):
             KernelConfig(epsilon=eps)
 
-    @pytest.mark.parametrize("tau", [-0.1, 1.0, 1.5, False, np.False_, "0", None, [0.0], 0.5j])
+    @pytest.mark.parametrize(
+        "tau", [-0.1, 1.0, 1.5, False, np.False_, "0", None, [0.0], 0.5j, pytest.param(10**400, id="10**400")]
+    )
     def test_bad_tau(self, tau):
         with pytest.raises(ValueError, match="truncation_tau"):
             KernelConfig(epsilon=1.0, truncation_tau=tau)
@@ -256,12 +263,24 @@ class TestDegreesFromCloud:
     @pytest.mark.parametrize("tau", [0.0, 1e-8])
     def test_tiny_epsilon_leaves_the_self_weight_alone(self, tau):
         # ln W's roundoff passes exp's overflow point at eps 1e-20, yet the
-        # diagonal is -inf before the exp and every other weight underflows
+        # diagonal is -inf before the exp and every other weight underflows;
+        # 1e-300 is near the smallest eps this cloud's |ys|^2 can take
         cloud = random_cloud(500, 3, 14)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            d = degrees_from_cloud(cloud, KernelConfig(epsilon=1e-20, truncation_tau=tau))
-        assert np.array_equal(d, np.ones(500))
+        for eps in (1e-20, 1e-300):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                d = degrees_from_cloud(cloud, KernelConfig(epsilon=eps, truncation_tau=tau))
+            assert np.array_equal(d, np.ones(500))
+
+    @pytest.mark.parametrize("tau", [0.0, 1e-8])
+    def test_epsilon_the_cloud_cannot_take_is_refused(self, tau):
+        # at eps 1e-307, 2 max |ys|^2 overflows: refused once, before any tile warns
+        cloud, kernel = random_cloud(500, 3, 14), KernelConfig(epsilon=1e-307, truncation_tau=tau)
+        for route in (degrees_from_cloud, build_weights):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="^epsilon 1e-307 is too small for this cloud"):
+                    route(cloud, kernel)
 
     def test_handles_blocking_boundaries(self, split_blocks):
         cloud = random_cloud(1201, 2, 13)
