@@ -105,6 +105,8 @@ class ExperimentSpec:
         ):
             value = getattr(self, field)
             try:  # a TypeError is a list field that is not a list; the checks raise ValueError
+                if field.endswith("_list") and isinstance(value, str):
+                    raise TypeError  # iterable, but one character at a time
                 object.__setattr__(self, field, convert(value))
             except TypeError:
                 raise ValueError(f"{output_key(field)} has the wrong type: {value!r}") from None

@@ -161,11 +161,13 @@ class TestExperimentSpec:
             ("master_seed", True, "^master_seed must be a nonnegative integer, got True$"),
             ("trials", 2.9, "^trials must be an integer >= 1, got 2.9$"),
             ("N_list", [500.0], "^N_list entry must be an integer >= 2, got 500.0$"),
-            ("epsilon_list", [True], "^epsilon_list entry must be a real number, got True$"),
+            ("epsilon_list", [True], "epsilon_list entry must be a real number, got True$"),
             pytest.param(
                 "epsilon_list", [10**400], "^epsilon_list entry is too large for a float$", id="eps-10**400"
             ),
             pytest.param("tau", 10**400, "^tau is too large for a float$", id="tau-10**400"),
+            ("N_list", "500", "^N_list has the wrong type: '500'$"),
+            ("epsilon_list", "0.05", "^epsilon_list has the wrong type: '0.05'$"),
         ],
     )
     def test_field_validation(self, field, value, match):
