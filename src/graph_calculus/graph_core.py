@@ -386,13 +386,13 @@ def build_weights(cloud: PointCloud, kernel: KernelConfig) -> np.ndarray:
     The kernel tiles come from the tau = 0 pass of the tile loop shared
     with kernel_matvec, in sample order, as exp(ln W) on the centred cloud.
     At tau > 0 each tile then has its weights below tau zeroed by _truncate,
-    the test every masked tile of a pass takes, so a stored
-    weight is the tau = 0 weight, bit for bit, or +0.0. Each unordered tile
-    is computed once and mirrored (a diagonal tile keeps its upper
-    triangle), so the result is symmetric bit-for-bit. The diagonal is set
-    to exactly 1 (it survives any tau < 1), and W is clamped at 1, which
-    the weight of two coincident points can pass by a few ulps, because
-    their ln W can round above 0.
+    the test every masked tile of a pass takes, so a stored weight is the
+    tau = 0 weight, bit for bit, or +0.0. Each unordered tile is computed
+    once and mirrored (a diagonal tile keeps its upper triangle), so the
+    result is symmetric bit-for-bit. The diagonal is set to exactly 1 (it
+    survives any tau < 1), and W is clamped at 1, which the weight of two
+    coincident points can pass by a few ulps, because their ln W can round
+    above 0.
     """
     n = cloud.n_points
     if n > DENSE_LIMIT:
@@ -435,9 +435,9 @@ def kernel_matvec(cloud: PointCloud, kernel: KernelConfig, g) -> np.ndarray:
 
     The same weights as build_weights, but memory stays at one tile instead
     of W's nnz. g is permuted into the order of the cloud's _pass_plan and
-    the result back. Each tile, exp(ln W) with its weights below tau zeroed
-    by _truncate at tau > 0, adds block @ g[cols] to out[rows] and, off the diagonal,
-    g[rows] @ block to out[cols] (a gathered tile's positions are unique).
+    the result back. Each tile, exp(ln W) cut by _truncate at tau > 0, adds
+    block @ g[cols] to out[rows] and, off the diagonal, g[rows] @ block to
+    out[cols] (a gathered tile's positions are unique).
     The self-weight W_uu = 1 adds g exactly. The ordered tiles at tau > 0,
     and a diagonal tile's full square at every tau, round apart from
     build_weights' own, so the result can differ from build_weights(...) @ g
