@@ -128,10 +128,9 @@ def _build_parser() -> _Parser:
         elif name == "grad":
             op.add_argument("--function", required=True, help="vertex function CSV (one value per line)")
         else:
-            op.add_argument("--function", default=None)
-            op.add_argument(
-                "--matrix", action="store_true", help="export the Laplacian matrix instead"
-            )
+            which = op.add_mutually_exclusive_group(required=True)
+            which.add_argument("--function", help="vertex function CSV (one value per line)")
+            which.add_argument("--matrix", action="store_true", help="export the Laplacian matrix instead")
 
     sub.add_parser("list-manifolds", help="emit the manifold registry as JSON").set_defaults(
         func=_cmd_list_manifolds
@@ -262,8 +261,6 @@ def _cmd_degree_check(args) -> int:
 
 
 def _cmd_operator(args) -> int:
-    if args.command == "laplacian" and args.matrix == (args.function is not None):
-        raise ValueError("laplacian needs exactly one of --function or --matrix")
     cloud = PointCloud.from_csv(args.cloud)
     kernel = KernelConfig(epsilon=args.epsilon, truncation_tau=args.tau)
     if args.command == "laplacian" and not args.matrix:

@@ -80,6 +80,18 @@ def _check_choice(name: str, value: str, choices: tuple) -> None:
         raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
+def _entries(value, key: str, check) -> tuple:
+    """A spec list as a tuple of its entries, each run through check(entry, its name)."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} has the wrong type: {value!r}")
+    if not value:
+        raise ValueError(f"{key} must be non-empty")
+    entries = tuple(check(v, f"{key} entry") for v in value)
+    if len(set(entries)) < len(entries):  # a repeat would run the same seeded cell twice
+        raise ValueError(f"{key} repeats a value: {list(entries)}")
+    return entries
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Declarative sweep over (N, epsilon, trial seeds) for one manifold/function."""
@@ -96,24 +108,14 @@ class ExperimentSpec:
 
     def __post_init__(self):
         get_function(self.manifold, self.function)  # raises with the list of valid ids
-        for field, convert in (
-            ("n_list", lambda v: tuple(check_integer(n, "N_list entry", 2) for n in v)),
-            ("epsilon_list", lambda v: tuple(check_real(e, "epsilon_list entry") for e in v)),
-            ("trials", lambda v: check_integer(v, "trials", 1)),
-            ("master_seed", lambda v: check_integer(v, "master_seed")),
-            ("tau", lambda v: check_real(v, "tau")),
+        for field, value in (
+            ("n_list", _entries(self.n_list, "N_list", lambda n, name: check_integer(n, name, 2))),
+            ("epsilon_list", _entries(self.epsilon_list, "epsilon_list", check_real)),
+            ("trials", check_integer(self.trials, "trials", 1)),
+            ("master_seed", check_integer(self.master_seed, "master_seed")),
+            ("tau", check_real(self.tau, "tau")),
         ):
-            value = getattr(self, field)
-            try:  # a TypeError is a list field that is not a list; the checks raise ValueError
-                if field.endswith("_list") and isinstance(value, str):
-                    raise TypeError  # iterable, but one character at a time
-                object.__setattr__(self, field, convert(value))
-            except TypeError:
-                raise ValueError(f"{output_key(field)} has the wrong type: {value!r}") from None
-        if not self.n_list:
-            raise ValueError("N_list must be non-empty")
-        if not self.epsilon_list:
-            raise ValueError("epsilon_list must be non-empty")
+            object.__setattr__(self, field, value)
         for e in self.epsilon_list:
             KernelConfig(epsilon=e, truncation_tau=self.tau)  # raises on a bad epsilon or tau
         # KernelConfig has checked tau's range [0, 1); the mode must pair with it
@@ -368,7 +370,7 @@ def degree_check(
 class CellResult:
     manifold: str
     function: str
-    n: int  # requested N (grid clouds may round up internally)
+    n: int
     epsilon: float
     seed: int
     mode: str
@@ -425,7 +427,7 @@ def _run_cell(spec: ExperimentSpec, n: int, epsilon: float, trial: int):
     return CellResult(
         manifold=spec.manifold,
         function=spec.function,
-        n=n,
+        n=res.n,
         epsilon=epsilon,
         seed=seed,
         mode=spec.mode,

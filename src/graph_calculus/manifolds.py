@@ -236,7 +236,7 @@ def check_integer(value, name: str, low: int = 0, high: int = 2**64) -> int:
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not low <= value < high:
         rule = "a nonnegative integer" if low == 0 else f"an integer >= {low}"
-        raise ValueError(f"{name} must be {rule}, got {value}")
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
     return int(value)
 
 

@@ -20,6 +20,7 @@ from graph_calculus import (
     degrees_from_cloud,
     divergence,
     gradient,
+    grid_sample,
     laplacian_apply,
     laplacian_from_cloud,
     laplacian_matrix,
@@ -369,11 +370,14 @@ class TestRun:
             (dict(epsilon_list=["0.05"]), "epsilon_list"),
             (dict(epsilon_list=[10**400]), "epsilon_list"),
             (dict(mode="sparse", tau=10**400), "tau"),
+            (dict(N_list={"40": 1}), "N_list"),
+            (dict(epsilon_list={"0.05": 1}), "epsilon_list"),
         ],
         ids=[
             "tau-null", "N_list-number", "function-list", "N_list-fraction", "N_list-float",
             "trials-fraction", "master_seed-bool", "master_seed-2**70", "epsilon_list-bool",
             "tau-bool", "epsilon_list-string", "epsilon_list-10**400", "tau-10**400",
+            "N_list-object", "epsilon_list-object",
         ],
     )
     def test_wrongly_typed_spec_field_exit_1(self, tmp_path, capsys, overrides, field):
@@ -385,6 +389,39 @@ class TestRun:
         assert err.count("\n") == 1  # one line, no traceback
         assert field in err
         assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(N_list=[40, 40, 80]), "N_list repeats a value: [40, 40, 80]"),
+            (dict(epsilon_list=[0.1, 0.1]), "epsilon_list repeats a value: [0.1, 0.1]"),
+        ],
+        ids=["N_list", "epsilon_list"],
+    )
+    def test_repeated_list_value_exit_1(self, tmp_path, capsys, overrides, message):
+        # a repeat would run the same seeded cell twice and write its row twice
+        path = write_spec(tmp_path, **overrides)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: invalid experiment spec: {message}\n"
+        assert not (out / "results.csv").exists()
+
+    def test_torus_grid_rows_give_the_n_the_cell_ran_on(self, tmp_path, capsys):
+        # the torus grid rounds N up to a square: 10, 20 and 40 run on 16, 25 and 49 points
+        n_list = [10, 20, 40]
+        path = write_spec(
+            tmp_path, manifold="torus", function="sin_theta", N_list=n_list, epsilon_list=[0.5],
+            trials=1, sampling="grid",
+        )
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        ran = [int(row["N"]) for row in read_results_csv(out / "results.csv")]
+        assert ran == [grid_sample("torus", n).n_points for n in n_list] == [16, 25, 49]
+        capsys.readouterr()
+        for n, n_points in zip(n_list, ran):
+            argv = ["degree-check", "--manifold", "torus", "--n", str(n), "--epsilon", "0.5", "--sampling", "grid"]
+            assert main(argv) == 0
+            assert json.loads(capsys.readouterr().out)["N"] == n_points
 
     @pytest.mark.parametrize("k, width", [("1", 1), ("2", 2), ("64", 4)])
     def test_summary_records_thread_layout(self, tmp_path, monkeypatch, k, width):
@@ -673,23 +710,25 @@ class TestOperatorCommands:
 
     def test_laplacian_needs_function_or_matrix(self, graph_inputs, tmp_path, capsys):
         cloud_csv, _, _, _, _ = graph_inputs
-        code = main(
-            ["laplacian", "--cloud", str(cloud_csv), "--epsilon", "1.0",
-             "--out", str(tmp_path / "x.csv")]
-        )
-        assert code == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["laplacian", "--cloud", str(cloud_csv), "--epsilon", "1.0", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 1
         assert "--function" in capsys.readouterr().err
 
     def test_laplacian_refuses_function_and_matrix_together(self, graph_inputs, tmp_path, capsys):
         cloud_csv, f_csv, _, _, _ = graph_inputs
         out = tmp_path / "x.csv"
-        code = main(
-            ["laplacian", "--cloud", str(cloud_csv), "--epsilon", "1.0",
-             "--function", str(f_csv), "--matrix", "--out", str(out)]
-        )
-        assert code == 1
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["laplacian", "--cloud", str(cloud_csv), "--epsilon", "1.0",
+                 "--function", str(f_csv), "--matrix", "--out", str(out)]
+            )
+        assert exc.value.code == 1
         err = capsys.readouterr().err
-        assert err == "error: laplacian needs exactly one of --function or --matrix\n"
+        assert err.startswith("usage: graph-calculus laplacian ")
+        assert err.endswith(
+            "graph-calculus laplacian: error: argument --matrix: not allowed with argument --function\n"
+        )
         assert not out.exists()
 
     def test_stored_weight_limit_applies_at_any_tau(self, big_cloud, tmp_path, capsys):

@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import os
+import pathlib
 import pkgutil
 import re
 import signal
@@ -35,8 +36,6 @@ from graph_calculus.convergence import classify_regime
 
 @pytest.fixture(scope="module")
 def oracle():
-    import pathlib
-
     with open(pathlib.Path(__file__).parent / "fixtures" / "oracle_values.json") as fh:
         return json.load(fh)
 
@@ -168,11 +167,26 @@ class TestExperimentSpec:
             pytest.param("tau", 10**400, "^tau is too large for a float$", id="tau-10**400"),
             ("N_list", "500", "^N_list has the wrong type: '500'$"),
             ("epsilon_list", "0.05", "^epsilon_list has the wrong type: '0.05'$"),
+            ("N_list", {"40": 1}, r"^N_list has the wrong type: \{'40': 1\}$"),
+            ("epsilon_list", {"0.1": 1}, r"^epsilon_list has the wrong type: \{'0.1': 1\}$"),
+            ("N_list", [40, 40, 80], r"^N_list repeats a value: \[40, 40, 80\]$"),
+            ("epsilon_list", [0.1, 0.1], r"^epsilon_list repeats a value: \[0.1, 0.1\]$"),
         ],
     )
     def test_field_validation(self, field, value, match):
         with pytest.raises(ValueError, match=match):
             ExperimentSpec.from_dict(self.minimal(**{field: value}))
+
+    def test_readme_example_is_a_valid_spec(self, monkeypatch):
+        # the example under README's "Experiment spec (JSON)" heading, run with every cell stubbed out
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Experiment spec (JSON)\n", 1)[1]
+        example = section.split("```json\n", 1)[1].split("```", 1)[0]
+        spec = ExperimentSpec.from_dict(json.loads(example))
+        cells = []
+        monkeypatch.setattr(conv, "_run_cells", lambda spec, todo, helpers: cells.extend(todo) or [])
+        sweep(spec)
+        assert (len(spec.n_list), len(spec.epsilon_list), spec.trials, len(cells)) == (3, 2, 10, 60)
 
     def test_round_trip(self, tmp_path):
         payload = self.minimal(mode="sparse", tau=1e-7, sampling="grid")
@@ -380,7 +394,7 @@ class TestLemmaCheck:
     @pytest.mark.parametrize("seed", [-1, 2.5, True, 2**64])
     def test_rejects_a_seed_that_is_not_a_64_bit_integer(self, sampling, seed):
         # grid cells draw no random numbers but are checked alike
-        message = f"^seed must be a nonnegative integer, got {seed}$"
+        message = f"^{re.escape(f'seed must be a nonnegative integer, got {seed!r}')}$"
         with pytest.raises(ValueError, match=message):
             lemma_check("circle", "sin_theta", 10, 0.1, seed=seed, sampling=sampling)
         with pytest.raises(ValueError, match=message):
@@ -525,7 +539,7 @@ def test_every_integer_input_has_one_rule(entry, value, monkeypatch):
     if value == "below":
         value = low - 1
     rule = "a nonnegative integer" if low == 0 else f"an integer >= {low}"
-    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {rule}, got {value}')}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {rule}, got {value!r}')}$"):
         call(value)
 
 

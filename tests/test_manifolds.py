@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -174,7 +175,8 @@ class TestSamplers:
     )
     def test_rejects_a_seed_that_is_not_a_64_bit_integer(self, seed):
         # int() would truncate 2.5 to 2 and read True as 1
-        with pytest.raises(ValueError, match=f"^seed must be a nonnegative integer, got {seed}$"):
+        message = f"^{re.escape(f'seed must be a nonnegative integer, got {seed!r}')}$"
+        with pytest.raises(ValueError, match=message):
             sample("circle", 4, seed=seed)
 
     def test_numpy_integer_seed_is_its_value(self):
@@ -223,7 +225,7 @@ class TestPointCount:
     )
     def test_refuses_a_count_that_is_not_an_integer_of_at_least_2(self, draw, n):
         # int() would truncate 4.5 to 4 and read True as 1
-        with pytest.raises(ValueError, match=f"^N must be an integer >= 2, got {n}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'N must be an integer >= 2, got {n!r}')}$"):
             draw(n)
 
     def test_numpy_integer_count_is_its_value(self, draw):
