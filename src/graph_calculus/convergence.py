@@ -92,6 +92,16 @@ def _entries(value, key: str, check) -> tuple:
     return entries
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's (key, value) pairs as a dict; json.load alone keeps a repeated key's last."""
+    payload = {}
+    for key, value in pairs:
+        if key in payload:
+            raise ValueError(f"spec field {key} appears twice")
+        payload[key] = value
+    return payload
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Declarative sweep over (N, epsilon, trial seeds) for one manifold/function."""
@@ -108,8 +118,12 @@ class ExperimentSpec:
 
     def __post_init__(self):
         get_function(self.manifold, self.function)  # raises with the list of valid ids
+        _check_choice("sampling", self.sampling, SAMPLINGS)
+        def n_points(n, name):  # a grid spec's N is the size of the grid it names
+            n = check_integer(n, name, 2)
+            return grid_sample(self.manifold, n).n_points if self.sampling == "grid" else n
         for field, value in (
-            ("n_list", _entries(self.n_list, "N_list", lambda n, name: check_integer(n, name, 2))),
+            ("n_list", _entries(self.n_list, "N_list", n_points)),
             ("epsilon_list", _entries(self.epsilon_list, "epsilon_list", check_real)),
             ("trials", check_integer(self.trials, "trials", 1)),
             ("master_seed", check_integer(self.master_seed, "master_seed")),
@@ -124,7 +138,6 @@ class ExperimentSpec:
             raise ValueError("dense mode is exact: tau must be 0")
         if self.mode == "sparse" and not self.tau > 0.0:
             raise ValueError("sparse mode requires 0 < tau < 1")
-        _check_choice("sampling", self.sampling, SAMPLINGS)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentSpec":
@@ -146,7 +159,7 @@ class ExperimentSpec:
     def from_json(cls, path) -> "ExperimentSpec":
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                payload = json.load(fh)
+                payload = json.load(fh, object_pairs_hook=_unique_keys)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"invalid JSON in {path}: {exc}") from exc
         return cls.from_dict(payload)
@@ -407,18 +420,11 @@ def _cell_failure(n: int, epsilon: float, trial: int, seed: int, kind: str, mess
     return CellFailure(n=n, epsilon=epsilon, trial=trial, seed=seed, kind=kind, message=message)
 
 
-def _run_cell(spec: ExperimentSpec, n: int, epsilon: float, trial: int):
-    seed = derive_cell_seed(spec.master_seed, n, epsilon, trial)
+def _run_cell(spec: ExperimentSpec, n: int, epsilon: float, trial: int, seed: int):
     start = time.perf_counter()
     try:
         res = lemma_check(
-            spec.manifold,
-            spec.function,
-            n,
-            epsilon,
-            seed=seed,
-            tau=spec.tau,
-            sampling=spec.sampling,
+            spec.manifold, spec.function, n, epsilon, seed=seed, tau=spec.tau, sampling=spec.sampling
         )
     except Exception as exc:  # recorded, remaining cells continue
         kind = "resource" if isinstance(exc, MemoryError) else "numerical"
@@ -515,11 +521,9 @@ def _run_cells(spec: ExperimentSpec, cells: list, helpers: int) -> list:
                     del live[conn]
                     conn.close()
                     proc.join()
-                    if held:
-                        n, epsilon, trial = cells[held[0]]
-                        seed = derive_cell_seed(spec.master_seed, n, epsilon, trial)
+                    if held:  # the right side reads held[0] before the target pops it
                         message = f"its helper process ended abruptly (exit code {proc.exitcode})"
-                        outcomes[held.popleft()] = _cell_failure(n, epsilon, trial, seed, "resource", message)
+                        outcomes[held.popleft()] = _cell_failure(*cells[held[0]], "resource", message)
                         todo.extendleft(reversed(held))
             waiting = [conn for conn, (_, held) in live.items() if held]
             if todo:
@@ -550,21 +554,15 @@ def sweep(spec: ExperimentSpec, parallelism: int = 1) -> SweepResult:
     """
     parallelism = check_integer(parallelism, "parallelism", 1)
     cells = [
-        (n, eps, t)
+        (n, eps, t, derive_cell_seed(spec.master_seed, n, eps, t))
         for n in spec.n_list
         for eps in spec.epsilon_list
         for t in range(spec.trials)
     ]
     log.info(
         "sweep: %s/%s, %d cells (%d N x %d eps x %d trials), mode=%s sampling=%s",
-        spec.manifold,
-        spec.function,
-        len(cells),
-        len(spec.n_list),
-        len(spec.epsilon_list),
-        spec.trials,
-        spec.mode,
-        spec.sampling,
+        spec.manifold, spec.function, len(cells), len(spec.n_list), len(spec.epsilon_list),
+        spec.trials, spec.mode, spec.sampling,
     )
     width = _pool_width(parallelism, len(cells))
     outcomes = _run_cells(spec, cells, width - 1)

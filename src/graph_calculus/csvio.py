@@ -124,7 +124,12 @@ def write_vector_csv(path, values) -> None:
 
 
 def read_vector_csv(path) -> np.ndarray:
-    return read_matrix_csv(path).ravel()
+    """A CSV file of one value per line as a 1-d float64 array; read_matrix_csv's rules apply."""
+    values = read_matrix_csv(path)
+    if values.shape[1] != 1:
+        width = values.shape[1]
+        raise ValueError(f"could not parse CSV file {path}: expected one value per line, got {width}")
+    return values.ravel()
 
 
 def write_matrix_csv(path, matrix) -> None:

@@ -227,16 +227,21 @@ def get_function(manifold: ManifoldDescriptor | str, fn_id: str) -> TestFunction
         ) from None
 
 
-def check_integer(value, name: str, low: int = 0, high: int = 2**64) -> int:
-    """value as an int, refused unless an int or numpy integer, not a bool, in [low, high).
+# The seed range of numpy's generators, which bounds any count too.
+_INTEGER_LIMIT = 2**64
+
+
+def check_integer(value, name: str, low: int = 0) -> int:
+    """value as an int, refused unless an int or numpy integer, not a bool, in [low, 2**64).
 
     The one rule for every count, seed and worker width: int() would take
-    2.5 as 2, True as 1 and "2" as 2. high defaults to the seed range of
-    numpy's generators, 2**64, which bounds any count too.
+    2.5 as 2, True as 1 and "2" as 2.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not low <= value < high:
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integral and low <= value < _INTEGER_LIMIT):
         rule = "a nonnegative integer" if low == 0 else f"an integer >= {low}"
-        raise ValueError(f"{name} must be {rule}, got {value!r}")
+        bound = " below 2**64" if integral and value >= _INTEGER_LIMIT else ""
+        raise ValueError(f"{name} must be {rule}{bound}, got {value!r}")
     return int(value)
 
 

@@ -423,6 +423,43 @@ class TestRun:
             assert main(argv) == 0
             assert json.loads(capsys.readouterr().out)["N"] == n_points
 
+    def test_grid_n_values_that_make_one_grid_exit_1(self, tmp_path, capsys):
+        # the torus grid rounds 10 and 12 up to one 16-point grid, whose row would be written twice
+        path = write_spec(
+            tmp_path, manifold="torus", function="sin_theta", N_list=[10, 12, 20, 40], epsilon_list=[0.5],
+            trials=1, master_seed=5, sampling="grid",
+        )
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        message = "N_list repeats a value: [16, 16, 25, 49]"
+        assert capsys.readouterr().err == f"error: invalid experiment spec: {message}\n"
+        assert not (out / "results.csv").exists()
+
+    def test_torus_grid_seeds_come_from_the_n_the_cell_ran_on(self, tmp_path):
+        path = write_spec(
+            tmp_path, manifold="torus", function="sin_theta", N_list=[10, 20, 40], epsilon_list=[0.5],
+            sampling="grid",
+        )
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        rows = read_results_csv(out / "results.csv")
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["spec"]["N_list"] == [16, 25, 49]
+        assert [int(row["N"]) for row in rows] == [16, 16, 25, 25, 49, 49]
+        for row, cell in zip(rows, summary["cells"], strict=True):
+            n, epsilon = int(row["N"]), float(row["epsilon"])
+            assert (cell["N"], cell["epsilon"]) == (n, epsilon)
+            assert int(row["seed"]) == cell["seed"] == conv.derive_cell_seed(3, n, epsilon, cell["trial"])
+
+    def test_spec_key_given_twice_exit_1(self, spec_file, tmp_path, capsys):
+        # json.load alone keeps the last value, so this spec would run 3 trials
+        path = tmp_path / "twice.json"
+        path.write_text(spec_file.read_text().replace('"trials": 1', '"trials": 1, "trials": 3'))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: invalid experiment spec: spec field trials appears twice\n"
+        assert not (out / "results.csv").exists()
+
     @pytest.mark.parametrize("k, width", [("1", 1), ("2", 2), ("64", 4)])
     def test_summary_records_thread_layout(self, tmp_path, monkeypatch, k, width):
         monkeypatch.setattr(conv, "_usable_cpus", lambda: 4)
@@ -682,6 +719,21 @@ class TestOperatorCommands:
         assert main([*argv, "--epsilon", "1.0", "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: could not parse CSV file {bad}: no data rows\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["grad", "laplacian"])
+    @pytest.mark.parametrize("rows, width", [("1,2\n3,4\n", 2), ("1,2,3,4\n", 4)], ids=["2x2", "one-row"])
+    def test_function_file_holds_one_value_per_line(self, tmp_path, capsys, command, rows, width):
+        # four values for a four-point cloud, but not one to a line
+        cloud_csv, f_csv, out = tmp_path / "cloud.csv", tmp_path / "f.csv", tmp_path / "out.csv"
+        cloud_csv.write_text(CLOUD_ROWS + "2.0,2.0\n")
+        f_csv.write_text(rows)
+        argv = [command, "--cloud", str(cloud_csv), "--epsilon", "1.0", "--function", str(f_csv), "--out", str(out)]
+        assert main(argv) == 1
+        message = f"could not parse CSV file {f_csv}: expected one value per line, got {width}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        f_csv.write_text("1\n2\n3\n4\n")
+        assert main(argv) == 0
 
     def test_laplacian_vector_and_matrix(self, graph_inputs, tmp_path):
         cloud_csv, f_csv, f, w, d = graph_inputs

@@ -188,6 +188,16 @@ class TestExperimentSpec:
         sweep(spec)
         assert (len(spec.n_list), len(spec.epsilon_list), spec.trials, len(cells)) == (3, 2, 10, 60)
 
+    @pytest.mark.parametrize("manifold, function", [("circle", "sin_theta"), ("sphere", "coord_z"), ("torus", "sin_theta")])
+    def test_grid_n_list_holds_the_grid_sizes(self, manifold, function):
+        # a grid N names a grid; the torus rounds 10, 20 and 40 up to 16, 25 and 49 points
+        n_list = [10, 20, 40]
+        payload = self.minimal(manifold=manifold, function=function, N_list=n_list, sampling="grid")
+        spec = ExperimentSpec.from_dict(payload)
+        assert spec.n_list == tuple(grid_sample(manifold, n).n_points for n in n_list)
+        assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+        assert ExperimentSpec.from_dict({**payload, "sampling": "random"}).n_list == (10, 20, 40)
+
     def test_round_trip(self, tmp_path):
         payload = self.minimal(mode="sparse", tau=1e-7, sampling="grid")
         spec = ExperimentSpec.from_dict(payload)
@@ -394,7 +404,8 @@ class TestLemmaCheck:
     @pytest.mark.parametrize("seed", [-1, 2.5, True, 2**64])
     def test_rejects_a_seed_that_is_not_a_64_bit_integer(self, sampling, seed):
         # grid cells draw no random numbers but are checked alike
-        message = f"^{re.escape(f'seed must be a nonnegative integer, got {seed!r}')}$"
+        bound = " below 2**64" if isinstance(seed, int) and seed == 2**64 else ""
+        message = f"^{re.escape(f'seed must be a nonnegative integer{bound}, got {seed!r}')}$"
         with pytest.raises(ValueError, match=message):
             lemma_check("circle", "sin_theta", 10, 0.1, seed=seed, sampling=sampling)
         with pytest.raises(ValueError, match=message):
