@@ -64,7 +64,7 @@ __all__ = [
 
 log = logging.getLogger("graph_calculus.convergence")
 
-_MODES = ("dense", "sparse")
+_FROM_TAU = object()  # mode's default, replaced by the mode tau picks; None would let "mode": null in
 
 # Default truncation threshold for sparse sweeps. Weights this small are
 # ~8 standard deviations out and contribute nothing at double precision.
@@ -92,19 +92,11 @@ def _entries(value, key: str, check) -> tuple:
     return entries
 
 
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object's (key, value) pairs as a dict; json.load alone keeps a repeated key's last."""
-    payload = {}
-    for key, value in pairs:
-        if key in payload:
-            raise ValueError(f"spec field {key} appears twice")
-        payload[key] = value
-    return payload
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Declarative sweep over (N, epsilon, trial seeds) for one manifold/function."""
+    """Declarative sweep over (N, epsilon, trial seeds) for one manifold/function.
+
+    tau alone picks the pass, exact dense at 0 or truncated sparse above; a given mode must agree."""
 
     manifold: str
     function: str
@@ -112,7 +104,7 @@ class ExperimentSpec:
     epsilon_list: tuple
     trials: int
     master_seed: int
-    mode: str = "dense"
+    mode: str = _FROM_TAU
     tau: float = 0.0
     sampling: str = "random"
 
@@ -132,12 +124,13 @@ class ExperimentSpec:
             object.__setattr__(self, field, value)
         for e in self.epsilon_list:
             KernelConfig(epsilon=e, truncation_tau=self.tau)  # raises on a bad epsilon or tau
-        # KernelConfig has checked tau's range [0, 1); the mode must pair with it
-        _check_choice("mode", self.mode, _MODES)
-        if self.mode == "dense" and self.tau != 0.0:
-            raise ValueError("dense mode is exact: tau must be 0")
-        if self.mode == "sparse" and not self.tau > 0.0:
-            raise ValueError("sparse mode requires 0 < tau < 1")
+        mode = "sparse" if self.tau > 0.0 else "dense"  # KernelConfig has checked tau's range [0, 1)
+        if self.mode is not _FROM_TAU and self.mode != mode:
+            raise ValueError(
+                f"mode {self.mode!r} disagrees with tau {self.tau!r}: tau picks the mode, "
+                "dense (tau must be 0) or sparse (0 < tau < 1)"
+            )
+        object.__setattr__(self, "mode", mode)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentSpec":
@@ -157,11 +150,17 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
+        objects = []  # each JSON object's (key, value) pairs; the top-level object closes last
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                payload = json.load(fh, object_pairs_hook=_unique_keys)
+                payload = json.load(fh, object_pairs_hook=lambda pairs: objects.append(pairs) or dict(pairs))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"invalid JSON in {path}: {exc}") from exc
+        seen = set()  # dict() keeps a repeated key's last value; a spec refuses a field given twice
+        for key, _ in objects[-1] if isinstance(payload, dict) else ():
+            if key in seen:
+                raise ValueError(f"spec field {key} appears twice")
+            seen.add(key)
         return cls.from_dict(payload)
 
     def to_dict(self) -> dict:

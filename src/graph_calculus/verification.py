@@ -33,7 +33,7 @@ from .manifolds import check_integer
 
 __all__ = ["InvariantReport", "run_invariant_suite", "VERIFY_MAX_N"]
 
-# dense mode enforced for the verify command
+# Largest N verify takes: it stores W and takes eigvalsh of N x N operator matrices.
 VERIFY_MAX_N = 1000
 
 # Kernel bandwidth of the random clouds, the one the tolerances below were set for.
@@ -77,7 +77,7 @@ def run_invariant_suite(n: int = 100, n_seeds: int = 5) -> list[InvariantReport]
     """Worst residual per invariant over `n_seeds` random Gaussian clouds in R^3."""
     check_integer(n, "N", 2)
     if n > VERIFY_MAX_N:
-        raise ValueError(f"verification runs dense; N must be <= {VERIFY_MAX_N}, got {n}")
+        raise ValueError(f"verification stores W; N must be <= {VERIFY_MAX_N}, got {n}")
     check_integer(n_seeds, "n_seeds", 1)
     worst = dict.fromkeys(_TOLERANCES, 0.0)
     for s in range(n_seeds):

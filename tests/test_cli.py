@@ -452,13 +452,18 @@ class TestRun:
             assert int(row["seed"]) == cell["seed"] == conv.derive_cell_seed(3, n, epsilon, cell["trial"])
 
     def test_spec_key_given_twice_exit_1(self, spec_file, tmp_path, capsys):
-        # json.load alone keeps the last value, so this spec would run 3 trials
-        path = tmp_path / "twice.json"
-        path.write_text(spec_file.read_text().replace('"trials": 1', '"trials": 1, "trials": 3'))
-        out = tmp_path / "o"
-        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: invalid experiment spec: spec field trials appears twice\n"
-        assert not (out / "results.csv").exists()
+        # json.load alone keeps the last value, so the first spec would run 3 trials; the
+        # repeat rule is the spec object's own, so a nested object falls to the type rule
+        for old, new, message in [
+            ('"trials": 1', '"trials": 1, "trials": 3', "spec field trials appears twice"),
+            ('"N_list": [40]', '"N_list": {"40": 1, "40": 2}', "N_list has the wrong type: {'40': 2}"),
+        ]:
+            path = tmp_path / "twice.json"
+            path.write_text(spec_file.read_text().replace(old, new))
+            out = tmp_path / "o"
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: invalid experiment spec: {message}\n"
+            assert not (out / "results.csv").exists()
 
     @pytest.mark.parametrize("k, width", [("1", 1), ("2", 2), ("64", 4)])
     def test_summary_records_thread_layout(self, tmp_path, monkeypatch, k, width):
@@ -509,16 +514,16 @@ class TestRun:
         digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
         assert digest == "46ad8b67a462f723e603120ad353bff46eee83a15486e9b06fb177a7fe673c43"
 
-    def test_sparse_results_are_pinned(self, tmp_path):
+    @pytest.mark.parametrize("mode", [dict(mode="sparse"), {}], ids=["with-mode", "tau-only"])
+    def test_sparse_results_are_pinned(self, tmp_path, mode):
         # Sparse cells take ordered ln W tiles whose pairs are skipped,
         # unmasked or masked, with trimmed columns gathered into chunks; a
         # new layout of the same tiles must not move results.csv by one byte
-        # (numpy 2.4, OpenBLAS 0.3.31 on x86-64).
+        # (numpy 2.4, OpenBLAS 0.3.31 on x86-64). tau alone picks the pass,
+        # so a spec without a mode writes the same bytes, mode column included.
         import hashlib
 
-        path = write_spec(
-            tmp_path, N_list=[1500, 8000], epsilon_list=[0.005, 0.01], mode="sparse", tau=1e-8
-        )
+        path = write_spec(tmp_path, N_list=[1500, 8000], epsilon_list=[0.005, 0.01], tau=1e-8, **mode)
         out = tmp_path / "pinned"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
         digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()

@@ -8,6 +8,8 @@ import pathlib
 import pkgutil
 import re
 import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -38,6 +40,15 @@ from graph_calculus.convergence import classify_regime
 def oracle():
     with open(pathlib.Path(__file__).parent / "fixtures" / "oracle_values.json") as fh:
         return json.load(fh)
+
+
+def test_oracle_fixture_is_what_the_tool_writes(tmp_path):
+    # the committed fixture must be tools/quadrature_oracle.py's output, byte for byte
+    root = pathlib.Path(__file__).parents[1]
+    out = tmp_path / "oracle_values.json"
+    cmd = [sys.executable, str(root / "tools" / "quadrature_oracle.py"), "--write", str(out)]
+    subprocess.run(cmd, capture_output=True, check=True, timeout=60)
+    assert out.read_bytes() == (root / "tests" / "fixtures" / "oracle_values.json").read_bytes()
 
 
 @pytest.fixture
@@ -133,8 +144,12 @@ class TestExperimentSpec:
             ExperimentSpec.from_dict(self.minimal(function="nope"))
 
     def test_dense_rejects_tau(self):
-        with pytest.raises(ValueError, match="tau must be 0"):
-            ExperimentSpec.from_dict(self.minimal(tau=1e-8))
+        with pytest.raises(ValueError, match="^mode 'dense' disagrees with tau 1e-08: .*tau must be 0"):
+            ExperimentSpec.from_dict(self.minimal(mode="dense", tau=1e-8))
+        # without a mode, tau alone picks the pass, and the spec echoes the mode it picked
+        spec = ExperimentSpec.from_dict(self.minimal(tau=1e-8))
+        assert spec.mode == "sparse" and spec.to_dict()["mode"] == "sparse"
+        assert ExperimentSpec.from_dict(spec.to_dict()) == spec
 
     def test_dense_accepts_large_n(self):
         # a cell never stores W, so the stored-W size limit does not apply
@@ -171,6 +186,7 @@ class TestExperimentSpec:
             ("epsilon_list", {"0.1": 1}, r"^epsilon_list has the wrong type: \{'0.1': 1\}$"),
             ("N_list", [40, 40, 80], r"^N_list repeats a value: \[40, 40, 80\]$"),
             ("epsilon_list", [0.1, 0.1], r"^epsilon_list repeats a value: \[0.1, 0.1\]$"),
+            ("mode", None, "mode"),
         ],
     )
     def test_field_validation(self, field, value, match):
