@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .calculus import divergence, gradient, laplacian_matrix
+from .calculus import _check_edge_field, divergence, gradient, laplacian_matrix
 from .convergence import ExperimentSpec, RateFit, degree_check, grouped_rate_fits, sweep
 from .csvio import (
     format_float,
@@ -41,6 +41,8 @@ from .csvio import (
 from .graph_core import (
     KernelConfig,
     PointCloud,
+    _check_stored,
+    _check_vertex_function,
     build_weights,
     degrees,
     degrees_from_cloud,
@@ -263,19 +265,23 @@ def _cmd_degree_check(args) -> int:
 def _cmd_operator(args) -> int:
     cloud = PointCloud.from_csv(args.cloud)
     kernel = KernelConfig(epsilon=args.epsilon, truncation_tau=args.tau)
+    # every input is read and checked against the cloud before any kernel work
     if args.command == "laplacian" and not args.matrix:
         # a vector output needs only the degree pass and one W g pass
-        f = read_vector_csv(args.function)
+        f = _check_vertex_function(read_vector_csv(args.function), cloud.n_points)
         d = degrees_from_cloud(cloud, kernel)
         write_vector_csv(args.out, laplacian_from_cloud(cloud, kernel, f, d))
         return EXIT_OK
+    _check_stored(cloud.n_points)  # the bound on a stored W comes before its inputs
+    if args.command == "grad":
+        f = _check_vertex_function(read_vector_csv(args.function), cloud.n_points)
+    elif args.command == "div":
+        field = _check_edge_field(read_matrix_csv(args.field), cloud.n_points)
     w = build_weights(cloud, kernel)
     d = degrees(w)
     if args.command == "grad":
-        f = read_vector_csv(args.function)
         write_matrix_csv(args.out, gradient(f, w, d))
     elif args.command == "div":
-        field = read_matrix_csv(args.field)
         write_vector_csv(args.out, divergence(field, w, d))
     else:
         write_matrix_csv(args.out, laplacian_matrix(w, d))

@@ -44,11 +44,6 @@ _TILE = 224
 # max |ys|^2; this allows 4096 ulps.
 _ROUNDOFF = 2.0**-40
 
-# Column tiles whose columns the trim tests in one vectorized step: its
-# temporaries, two (dim, _TRIM_TILES, _TILE) arrays, stay below a tile (at
-# dim <= 3) however many pairs a tile row trims.
-_TRIM_TILES = 16
-
 log = logging.getLogger("graph_calculus.graph_core")
 
 
@@ -124,6 +119,12 @@ def _check_vertex_function(f, n: int) -> np.ndarray:
     if not np.isfinite(f).all():
         raise ValueError("vertex function contains non-finite values")
     return f
+
+
+def _check_stored(n: int) -> int:
+    if n > DENSE_LIMIT:
+        raise ValueError(f"stored weight matrix limited to N <= {DENSE_LIMIT} points (got {n})")
+    return n
 
 
 def _check_degrees(d, n: int) -> np.ndarray:
@@ -340,23 +341,18 @@ def _near_columns(ys3, tiles, lo, hi, limits):
     """A (len(tiles), _TILE) bool array: which columns of the given full tiles
     have a squared gap to the box [lo, hi] of at most the tile's limit.
 
-    ys3 holds the full tiles of ys axis-major, as (dim, tiles, _TILE); the
-    columns are tested _TRIM_TILES tiles at a time, so the temporaries stay
-    below a tile, and every step runs along _TILE-long rows. The squared gap
-    is summed over the axes in axis order, where an einsum over the axes
-    pairs them as (0 + 2) + 1 at dim 3: a column's sum can round a last bit
-    apart from that order, which the _ROUNDOFF margin in each limit covers.
+    ys3 holds the full tiles of ys axis-major, as (dim, tiles, _TILE). The
+    tiles a row trims are tested in one step along _TILE-long rows, in two
+    (dim, T, _TILE) temporaries for T tiles: at most 16 dim N bytes, the order
+    of the plan's aug^T. The squared gap is summed over the axes in axis
+    order, where an einsum over the axes pairs them as (0 + 2) + 1 at dim 3:
+    a column's sum can round a last bit apart from that order, which the
+    _ROUNDOFF margin in each limit covers.
     """
-    near = np.empty((len(tiles), _TILE), dtype=bool)
-    lo, hi = lo[:, None, None], hi[:, None, None]
-    for t0 in range(0, len(tiles), _TRIM_TILES):
-        y = np.take(ys3, tiles[t0 : t0 + _TRIM_TILES], axis=1)
-        # y minus its clip into the box is the gap to it, negated below the
-        # box, which the square drops
-        gap = np.subtract(y, np.clip(y, lo, hi), out=y)
-        reach = np.square(gap, out=gap).sum(axis=0)
-        near[t0 : t0 + _TRIM_TILES] = reach <= limits[t0 : t0 + _TRIM_TILES, None]
-    return near
+    y = np.take(ys3, tiles, axis=1)
+    # y minus its clip into the box is the gap to it, negated below the box, which the square drops
+    gap = np.subtract(y, np.clip(y, lo[:, None, None], hi[:, None, None]), out=y)
+    return np.square(gap, out=gap).sum(axis=0) <= limits[:, None]
 
 
 def _gathered(tiles, bits):
@@ -394,11 +390,7 @@ def build_weights(cloud: PointCloud, kernel: KernelConfig) -> np.ndarray:
     coincident points can pass by a few ulps, because their ln W can round
     above 0.
     """
-    n = cloud.n_points
-    if n > DENSE_LIMIT:
-        raise ValueError(
-            f"stored weight matrix limited to N <= {DENSE_LIMIT} points (got {n})"
-        )
+    n = _check_stored(cloud.n_points)
     tau, keep = kernel.truncation_tau, np.empty(_TILE * _TILE, dtype=bool)
     w = np.zeros((n, n), dtype=np.float64)
     for rows, cols, block in _kernel_blocks(cloud, KernelConfig(kernel.epsilon)):

@@ -725,6 +725,31 @@ class TestOperatorCommands:
         assert capsys.readouterr().err == f"error: could not parse CSV file {bad}: no data rows\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, flag, rows, message",
+        [
+            ("grad", "--function", "1.0\n2.0\n", "vertex function has shape (2,), expected (3,)"),
+            ("laplacian", "--function", "1.0\n2.0\n", "vertex function has shape (2,), expected (3,)"),
+            ("div", "--field", "0,0,0,0\n" * 3, "edge field has shape (3, 4), expected (3, 3)"),
+        ],
+        ids=["grad", "laplacian", "div"],
+    )
+    def test_inputs_are_checked_before_any_kernel_work(
+        self, graph_inputs, tmp_path, capsys, monkeypatch, command, flag, rows, message
+    ):
+        # an input that does not fit the cloud costs no W and no degree pass
+        def kernel_work(*_):
+            raise AssertionError("kernel work before the inputs were checked")
+
+        monkeypatch.setattr(cli, "build_weights", kernel_work)
+        monkeypatch.setattr(cli, "degrees_from_cloud", kernel_work)
+        bad, out = tmp_path / "bad.csv", tmp_path / "out.csv"
+        bad.write_text(rows)
+        argv = [command, "--cloud", str(graph_inputs[0]), "--epsilon", "1.0", flag, str(bad), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["grad", "laplacian"])
     @pytest.mark.parametrize("rows, width", [("1,2\n3,4\n", 2), ("1,2,3,4\n", 4)], ids=["2x2", "one-row"])
     def test_function_file_holds_one_value_per_line(self, tmp_path, capsys, command, rows, width):

@@ -723,13 +723,20 @@ KERNEL_PASSES = {
 
 
 class TestPassMemory:
-    @pytest.mark.parametrize("manifold", ["circle", "sphere"])
+    @pytest.mark.parametrize(
+        "manifold, n, eps",
+        [
+            ("circle", 4000, 0.05),
+            ("sphere", 4000, 0.05),
+            ("sphere", 8000, 0.02),  # its tile rows trim up to 24 column tiles
+        ],
+        ids=["circle", "sphere", "sphere-8000-eps-0.02"],
+    )
     @pytest.mark.parametrize("name", ["degrees_from_cloud", "kernel_matvec"])
-    def test_peak_is_a_few_tiles_plus_vectors(self, manifold, name):
+    def test_peak_is_a_few_tiles_plus_vectors(self, manifold, n, eps, name):
         # A pass holds O(1) tiles and O(1) length-N vectors, whatever N and
         # the ambient dimension; a block size that grew with N would not.
-        n = 4000
-        cloud, kernel = sample(manifold, n, 0), KernelConfig(epsilon=0.05, truncation_tau=1e-8)
+        cloud, kernel = sample(manifold, n, 0), KernelConfig(epsilon=eps, truncation_tau=1e-8)
         tracemalloc.start()
         try:
             KERNEL_PASSES[name](cloud, kernel)
