@@ -173,8 +173,9 @@ def derive_cell_seed(master_seed: int, n: int, epsilon: float, trial: int) -> in
     Value-based (not list-index-based) so permuting the sweep lists leaves
     every cell's numbers unchanged, and independent of execution order.
     """
-    eps_bits = int(np.float64(epsilon).view(np.uint64))
-    ss = np.random.SeedSequence([int(master_seed), int(n), eps_bits, int(trial)])
+    master_seed, trial = check_integer(master_seed, "master_seed"), check_integer(trial, "trial")
+    eps_bits = int(np.float64(check_real(epsilon, "epsilon")).view(np.uint64))
+    ss = np.random.SeedSequence([master_seed, check_integer(n, "N", 2), eps_bits, trial])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -263,15 +264,17 @@ def _degree_stats(d: np.ndarray, m: ManifoldDescriptor, points: np.ndarray, epsi
     )
 
 
-def _cell_setup(manifold, n: int, epsilon: float, seed: int, sampling: str, pin_anchor: bool):
-    """Manifold, cloud, low-neighbor flag and regime label of one cell.
+def _degree_cell(manifold, n: int, epsilon: float, seed: int, sampling: str, tau: float, pin_anchor: bool):
+    """The first half of every cell: its kernel, cloud, degrees and DegreeCheckResult.
 
-    Warns (pointing at the caller of the public check) when the kernel
-    sees fewer than one neighbor on average.
+    Every step after the input checks computes with kernel.epsilon and the
+    checked seed. Warns (pointing at the caller of the public check) when
+    the kernel sees fewer than one neighbor on average.
     """
+    kernel = KernelConfig(epsilon=epsilon, truncation_tau=tau)
     m = get_manifold(manifold)
     _check_choice("sampling", sampling, SAMPLINGS)
-    check_integer(seed, "seed")  # a grid cell draws nothing, yet degree_check reports its seed
+    seed = check_integer(seed, "seed")  # a grid cell draws nothing, yet degree_check reports its seed
     if sampling == "grid":
         cloud = grid_sample(m, n)
     else:
@@ -281,7 +284,7 @@ def _cell_setup(manifold, n: int, epsilon: float, seed: int, sampling: str, pin_
         pts[0] = m.anchor
         cloud = PointCloud(points=pts)
     n_points = cloud.n_points
-    expected = (2.0 * np.pi * epsilon) ** (m.intrinsic_dim / 2.0) * n_points / m.volume
+    expected = (2.0 * np.pi * kernel.epsilon) ** (m.intrinsic_dim / 2.0) * n_points / m.volume
     warned = bool(expected < 1.0)
     if warned:
         warnings.warn(
@@ -289,8 +292,17 @@ def _cell_setup(manifold, n: int, epsilon: float, seed: int, sampling: str, pin_
             f"(2 pi eps)^(m/2) N / vol = {expected:.3g} < 1",
             stacklevel=3,
         )
-    regime = classify_regime(m.intrinsic_dim, m.volume, n_points, epsilon, sampling)
-    return m, cloud, warned, regime
+    d = _check_degrees(degrees_from_cloud(cloud, kernel), n_points)
+    return kernel, cloud, d, DegreeCheckResult(
+        manifold=m.name,
+        n=n_points,
+        epsilon=kernel.epsilon,
+        seed=seed,
+        sampling=sampling,
+        stats=_degree_stats(d, m, cloud.points, kernel.epsilon),
+        regime=classify_regime(m.intrinsic_dim, m.volume, n_points, kernel.epsilon, sampling),
+        low_neighbor_warning=warned,
+    )
 
 
 def lemma_check(
@@ -305,8 +317,9 @@ def lemma_check(
 ) -> LemmaCheckResult:
     """Compare the estimator (2/eps) Delta f against the closed-form target.
 
-    Samples a cloud (random by seed, or the deterministic grid) and applies
-    the normalized Laplacian without storing W. tau alone selects the pass:
+    Runs degree_check's cell, then one W g pass. The cell samples a cloud
+    (random by seed, or the deterministic grid), and the pass applies the
+    normalized Laplacian without storing W. tau alone selects the pass:
     tau == 0 keeps every kernel weight (exact), and 0 < tau < 1 drops the
     weights below tau (truncated), as in degree_check. One kernel pass
     gives the degrees d = W 1, a second W (f / sqrt d), so a cell holds one
@@ -318,19 +331,17 @@ def lemma_check(
     pin_anchor replaces point 0 with the manifold's canonical anchor so
     across-seed spread can be measured at a fixed location.
     """
-    kernel = KernelConfig(epsilon=epsilon, truncation_tau=tau)
-    m, cloud, warned, regime = _cell_setup(manifold, n, epsilon, seed, sampling, pin_anchor)
-    f, reference = eval_pair(m, fn_id, cloud)
-
-    d = degrees_from_cloud(cloud, kernel)
-    estimate = (2.0 / epsilon) * laplacian_from_cloud(cloud, kernel, f, d)
+    get_function(manifold, fn_id)  # raises with the list of valid ids, before any sampling or pass
+    kernel, cloud, d, cell = _degree_cell(manifold, n, epsilon, seed, sampling, tau, pin_anchor)
+    f, reference = eval_pair(manifold, fn_id, cloud)
+    estimate = (2.0 / kernel.epsilon) * laplacian_from_cloud(cloud, kernel, f, d)
     abs_err = np.abs(estimate - reference)
     median = float(np.median(abs_err))
     normalizer = float(np.abs(reference).max())
     if normalizer == 0.0:
         normalizer = 1.0  # relative error degrades to absolute for zero targets
     return LemmaCheckResult(
-        n=cloud.n_points,
+        n=cell.n,
         estimate=estimate,
         reference=reference,
         degrees=d,
@@ -338,9 +349,9 @@ def lemma_check(
         err_abs_mean=float(abs_err.mean()),
         err_abs_max=float(abs_err.max()),
         err_rel_median=median / normalizer,
-        degree_stats=_degree_stats(d, m, cloud.points, epsilon),
-        regime=regime,
-        low_neighbor_warning=warned,
+        degree_stats=cell.stats,
+        regime=cell.regime,
+        low_neighbor_warning=cell.low_neighbor_warning,
     )
 
 
@@ -359,19 +370,7 @@ def degree_check(
     share vol / ((N-1) (2 pi eps)^{m/2}) that dominates r when epsilon is
     too small for the given N. That regime is reported, not hidden.
     """
-    kernel = KernelConfig(epsilon=epsilon, truncation_tau=tau)
-    m, cloud, warned, regime = _cell_setup(manifold, n, epsilon, seed, sampling, pin_anchor=False)
-    d = _check_degrees(degrees_from_cloud(cloud, kernel), cloud.n_points)
-    return DegreeCheckResult(
-        manifold=m.name,
-        n=cloud.n_points,
-        epsilon=kernel.epsilon,
-        seed=seed,
-        sampling=sampling,
-        stats=_degree_stats(d, m, cloud.points, epsilon),
-        regime=regime,
-        low_neighbor_warning=warned,
-    )
+    return _degree_cell(manifold, n, epsilon, seed, sampling, tau, pin_anchor=False)[-1]
 
 
 # ----------------------------------------------------------------------

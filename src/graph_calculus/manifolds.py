@@ -128,10 +128,6 @@ def _const(value: float):
     return lambda pts: np.full(pts.shape[0], value, dtype=np.float64)
 
 
-def _zero(pts: np.ndarray) -> np.ndarray:
-    return np.zeros(pts.shape[0], dtype=np.float64)
-
-
 _SIN_THETA = TestFunction(eval=lambda p: p[:, 1], eigenvalue=-1.0)
 _CONST_ONE = TestFunction(eval=_const(1.0), eigenvalue=0.0)
 
@@ -168,7 +164,7 @@ MANIFOLDS: dict[str, ManifoldDescriptor] = {
         intrinsic_dim=1,
         ambient_dim=2,
         volume=2.0 * np.pi,
-        scalar_curvature=_zero,
+        scalar_curvature=_const(0.0),
         anchor=np.array([1.0, 0.0]),
         functions=_CIRCLE_FUNCTIONS,
         _sampler=_sample_circle,
@@ -190,7 +186,7 @@ MANIFOLDS: dict[str, ManifoldDescriptor] = {
         intrinsic_dim=2,
         ambient_dim=4,
         volume=(2.0 * np.pi) ** 2,
-        scalar_curvature=_zero,
+        scalar_curvature=_const(0.0),
         anchor=np.array([1.0, 0.0, 1.0, 0.0]),
         functions=_TORUS_FUNCTIONS,
         _sampler=_sample_torus,

@@ -34,6 +34,7 @@ from graph_calculus import (
 )
 from graph_calculus import cli
 from graph_calculus.convergence import classify_regime
+from graph_calculus.csvio import record_dict
 
 
 @pytest.fixture(scope="module")
@@ -522,6 +523,50 @@ class TestDegreeCheck:
                 degree_check("circle", 50, 1e-310)
 
 
+class TestOneCellBody:
+    """lemma_check runs degree_check's cell, computing with the checked inputs."""
+
+    def test_checks_compute_with_the_checked_inputs(self):
+        # a float32 epsilon runs as its float64 value throughout, and a numpy seed is echoed as an int
+        eps32 = np.float32(0.05)
+        got = lemma_check("circle", "sin_theta", 2000, eps32, seed=3)
+        ref = lemma_check("circle", "sin_theta", 2000, float(eps32), seed=3)
+        assert got.estimate.tobytes() == ref.estimate.tobytes()
+        assert json.dumps(record_dict(got.degree_stats)) == json.dumps(record_dict(ref.degree_stats))
+        assert got.regime == ref.regime
+        for manifold in ("circle", "sphere"):
+            got = degree_check(manifold, 2000, eps32, seed=np.int64(3))
+            ref = degree_check(manifold, 2000, float(eps32), seed=3)
+            assert type(got.seed) is int and type(got.epsilon) is float
+            assert json.dumps(record_dict(got)) == json.dumps(record_dict(ref))
+
+    @pytest.mark.parametrize(
+        "manifold, fn_id, tau, sampling",
+        [
+            ("circle", "sin_theta", 0.0, "random"),
+            ("sphere", "coord_z", 1e-8, "random"),
+            ("torus", "sin_theta", 0.0, "grid"),
+        ],
+        ids=["circle-random-tau0", "sphere-random-tau1e-08", "torus-grid"],
+    )
+    def test_lemma_check_reports_degree_checks_record(self, manifold, fn_id, tau, sampling):
+        lemma = lemma_check(manifold, fn_id, 400, 0.05, seed=2, tau=tau, sampling=sampling)
+        degree = degree_check(manifold, 400, 0.05, seed=2, sampling=sampling, tau=tau)
+        assert lemma.n == degree.n
+        assert lemma.degree_stats == degree.stats
+        assert lemma.regime == degree.regime
+        assert lemma.low_neighbor_warning == degree.low_neighbor_warning
+
+    def test_unknown_function_fails_before_sampling(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled or ran a pass for an unknown function id")
+
+        for name in ("sample", "grid_sample", "degrees_from_cloud"):
+            monkeypatch.setattr(conv, name, refuse)
+        with pytest.raises(ValueError, match="^unknown function id 'nope' for manifold 'circle'"):
+            lemma_check("circle", "nope", 50, 0.05)
+
+
 @pytest.mark.parametrize(
     "check",
     [lambda n: lemma_check("circle", "sin_theta", n, 0.05), lambda n: degree_check("circle", n, 0.05)],
@@ -544,6 +589,9 @@ _INTEGER_INPUTS = {
     "lemma_check-seed": (lambda v: lemma_check("circle", "sin_theta", 10, 0.1, seed=v), "seed", 0),
     "degree_check-N": (lambda v: degree_check("circle", v, 0.1), "N", 2),
     "degree_check-seed": (lambda v: degree_check("circle", 10, 0.1, seed=v), "seed", 0),
+    "derive_cell_seed-master_seed": (lambda v: derive_cell_seed(v, 30, 0.05, 0), "master_seed", 0),
+    "derive_cell_seed-N": (lambda v: derive_cell_seed(0, v, 0.05, 0), "N", 2),
+    "derive_cell_seed-trial": (lambda v: derive_cell_seed(0, 30, 0.05, v), "trial", 0),
     "from_dict-N_list": (lambda v: ExperimentSpec.from_dict({**_SPEC, "N_list": [v]}), "N_list entry", 2),
     "from_dict-trials": (lambda v: ExperimentSpec.from_dict({**_SPEC, "trials": v}), "trials", 1),
     "from_dict-master_seed": (lambda v: ExperimentSpec.from_dict({**_SPEC, "master_seed": v}), "master_seed", 0),
