@@ -113,7 +113,7 @@ class ExperimentSpec:
         _check_choice("sampling", self.sampling, SAMPLINGS)
         def n_points(n, name):  # a grid spec's N is the size of the grid it names
             n = check_integer(n, name, 2)
-            return grid_sample(self.manifold, n).n_points if self.sampling == "grid" else n
+            return get_manifold(self.manifold).grid_size(n) if self.sampling == "grid" else n
         for field, value in (
             ("n_list", _entries(self.n_list, "N_list", n_points)),
             ("epsilon_list", _entries(self.epsilon_list, "epsilon_list", check_real)),
@@ -222,8 +222,22 @@ class DegreeStats:
 
 
 @dataclass(frozen=True)
-class LemmaCheckResult:
+class DegreeCheckResult:
+    manifold: str
     n: int  # actual cloud size (torus grids round up to a square)
+    epsilon: float
+    seed: int
+    sampling: str
+    stats: DegreeStats
+    regime: str
+    low_neighbor_warning: bool
+
+
+@dataclass(frozen=True)
+class LemmaCheckResult:
+    """The estimate over one cloud; cell is degree_check's record of that cloud."""
+
+    cell: DegreeCheckResult
     estimate: np.ndarray
     reference: np.ndarray
     degrees: np.ndarray
@@ -231,21 +245,6 @@ class LemmaCheckResult:
     err_abs_mean: float
     err_abs_max: float
     err_rel_median: float
-    degree_stats: DegreeStats
-    regime: str
-    low_neighbor_warning: bool
-
-
-@dataclass(frozen=True)
-class DegreeCheckResult:
-    manifold: str
-    n: int
-    epsilon: float
-    seed: int
-    sampling: str
-    stats: DegreeStats
-    regime: str
-    low_neighbor_warning: bool
 
 
 def _degree_stats(d: np.ndarray, m: ManifoldDescriptor, points: np.ndarray, epsilon: float):
@@ -326,8 +325,8 @@ def lemma_check(
     kernel block rather than W's nnz. Both passes run one pass plan, which the
     first builds and keeps on the cloud (order, tile classes and trimmed
     columns), so the second neither orders nor trims. Returns the per-vertex
-    estimate and reference, error summary statistics, and the
-    degree-asymptotics stats of the same cloud.
+    estimate and reference, error summary statistics, and, as cell,
+    degree_check's record of the same cloud.
     pin_anchor replaces point 0 with the manifold's canonical anchor so
     across-seed spread can be measured at a fixed location.
     """
@@ -341,7 +340,7 @@ def lemma_check(
     if normalizer == 0.0:
         normalizer = 1.0  # relative error degrades to absolute for zero targets
     return LemmaCheckResult(
-        n=cell.n,
+        cell=cell,
         estimate=estimate,
         reference=reference,
         degrees=d,
@@ -349,9 +348,6 @@ def lemma_check(
         err_abs_mean=float(abs_err.mean()),
         err_abs_max=float(abs_err.max()),
         err_rel_median=median / normalizer,
-        degree_stats=cell.stats,
-        regime=cell.regime,
-        low_neighbor_warning=cell.low_neighbor_warning,
     )
 
 
@@ -431,7 +427,7 @@ def _run_cell(spec: ExperimentSpec, n: int, epsilon: float, trial: int, seed: in
     return CellResult(
         manifold=spec.manifold,
         function=spec.function,
-        n=res.n,
+        n=res.cell.n,
         epsilon=epsilon,
         seed=seed,
         mode=spec.mode,
@@ -439,11 +435,11 @@ def _run_cell(spec: ExperimentSpec, n: int, epsilon: float, trial: int, seed: in
         err_abs_mean=res.err_abs_mean,
         err_abs_max=res.err_abs_max,
         err_rel_median=res.err_rel_median,
-        degree_ratio_mean=res.degree_stats.residual_mean,
-        degree_ratio_dev=res.degree_stats.residual_dev,
+        degree_ratio_mean=res.cell.stats.residual_mean,
+        degree_ratio_dev=res.cell.stats.residual_dev,
         wall_ms=wall_ms,
         trial=trial,
-        regime=res.regime,
+        regime=res.cell.regime,
     )
 
 

@@ -70,7 +70,8 @@ class ManifoldDescriptor:
     anchor: np.ndarray  # canonical base point, used to pin a vertex across seeds
     functions: Mapping[str, TestFunction] = field(default_factory=dict)
     _sampler: Callable = None
-    _grid: Callable = None
+    _grid: Callable = None  # the grid of grid_size(N) points
+    grid_size: Callable[[int], int] = lambda n: n  # points in the grid for a requested N
 
 
 def _circle_points(theta: np.ndarray) -> np.ndarray:
@@ -115,9 +116,7 @@ def _grid_sphere(n: int) -> np.ndarray:
 
 
 def _grid_torus(n: int) -> np.ndarray:
-    k = math.isqrt(n)
-    if k * k < n:
-        k += 1
+    k = math.isqrt(n)  # n is a square, as the torus's grid_size makes it
     angles = 2.0 * np.pi * np.arange(k) / k
     theta = np.repeat(angles, k)
     phi = np.tile(angles, k)
@@ -191,6 +190,7 @@ MANIFOLDS: dict[str, ManifoldDescriptor] = {
         functions=_TORUS_FUNCTIONS,
         _sampler=_sample_torus,
         _grid=_grid_torus,
+        grid_size=lambda n: (math.isqrt(n - 1) + 1) ** 2,  # n rounded up to a square, k x k points
     ),
 }
 
@@ -257,11 +257,11 @@ def grid_sample(manifold: ManifoldDescriptor | str, n: int) -> PointCloud:
     """Deterministic equispaced points in the intrinsic parameters.
 
     Noise-free stand-in for sample() when isolating kernel-bandwidth bias
-    from sampling fluctuation. The torus grid rounds n up to the next
-    perfect square; the sphere uses a Fibonacci lattice.
+    from sampling fluctuation, in grid_size(n) points: the torus rounds n up
+    to the next perfect square; the sphere uses a Fibonacci lattice.
     """
     m = get_manifold(manifold)
-    return PointCloud(points=m._grid(check_integer(n, "N", 2)))
+    return PointCloud(points=m._grid(m.grid_size(check_integer(n, "N", 2))))
 
 
 def eval_pair(manifold: ManifoldDescriptor | str, fn_id: str, cloud: PointCloud):

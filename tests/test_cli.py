@@ -204,6 +204,18 @@ class TestRun:
         assert (failure["N"], failure["kind"], failure["message"]) == (80, "resource", "MemoryError")
         assert [c["N"] for c in summary["cells"]] == [40]
 
+    def test_grid_n_too_large_to_build_is_a_resource_failure(self, tmp_path):
+        # as a random N does; 10**15 points need 7 PiB, past the address space, so the grid fails at once
+        path = write_spec(
+            tmp_path, manifold="sphere", function="coord_z", N_list=[200, 10**15], epsilon_list=[0.1],
+            trials=1, sampling="grid",
+        )
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert [int(row["N"]) for row in read_results_csv(out / "results.csv")] == [200]
+        summary = json.loads((out / "summary.json").read_text())
+        assert [(f["N"], f["kind"]) for f in summary["failures"]] == [(10**15, "resource")]
+
     def test_summary_key_order(self, tmp_path, monkeypatch):
         # the records' field order is the keys' order
         path = write_spec(tmp_path, N_list=[40, 80], epsilon_list=[0.1], trials=1)

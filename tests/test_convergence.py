@@ -215,6 +215,12 @@ class TestExperimentSpec:
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
         assert ExperimentSpec.from_dict({**payload, "sampling": "random"}).n_list == (10, 20, 40)
 
+    def test_grid_sizes_come_from_the_grid_rule(self):
+        # no grid is built: 10**15 points would need 7 PiB, so building one would raise MemoryError
+        for manifold, function, size in [("sphere", "coord_z", 10**15), ("torus", "sin_theta", 31622777**2)]:
+            payload = self.minimal(manifold=manifold, function=function, N_list=[10**15], sampling="grid")
+            assert ExperimentSpec.from_dict(payload).n_list == (size,)
+
     def test_round_trip(self, tmp_path):
         payload = self.minimal(mode="sparse", tau=1e-7, sampling="grid")
         spec = ExperimentSpec.from_dict(payload)
@@ -380,11 +386,20 @@ class TestLemmaCheck:
         assert res.err_abs_max <= 1e-9
         assert math.isfinite(res.err_rel_median)
 
-    def test_pin_anchor_places_anchor(self):
-        res = lemma_check("circle", "sin_theta", 50, 0.05, seed=5, pin_anchor=True)
-        assert res.n == 50
-        got = lemma_check("circle", "sin_theta", 50, 0.05, seed=5, pin_anchor=True)
-        assert got.estimate[0] == res.estimate[0]
+    def test_pin_anchor_places_anchor(self, monkeypatch):
+        # the cloud of the degree pass: the anchor as point 0, the unpinned cloud's points after it
+        # (the circle and torus grids already start at the anchor)
+        clouds, real = [], conv.degrees_from_cloud
+        monkeypatch.setattr(conv, "degrees_from_cloud", lambda cloud, kernel: clouds.append(cloud) or real(cloud, kernel))
+        for manifold, fn_id in [("circle", "sin_theta"), ("sphere", "coord_z"), ("torus", "sin_theta")]:
+            for sampling in ("random", "grid"):
+                clouds.clear()
+                res = lemma_check(manifold, fn_id, 90, 0.1, seed=5, sampling=sampling, pin_anchor=True)
+                (pinned,) = clouds
+                unpinned = grid_sample(manifold, 90) if sampling == "grid" else sample(manifold, 90, seed=5)
+                assert pinned.n_points == unpinned.n_points == res.cell.n
+                np.testing.assert_array_equal(pinned.points[0], conv.get_manifold(manifold).anchor)
+                np.testing.assert_array_equal(pinned.points[1:], unpinned.points[1:])
 
     @pytest.mark.parametrize(
         "cell", list(LEMMA_CHECK_DIGESTS), ids=lambda c: f"{c[0]}-tau{c[5]:g}{'-pinned' * c[6]}"
@@ -431,7 +446,7 @@ class TestLemmaCheck:
     def test_low_neighbor_warning(self):
         with pytest.warns(UserWarning, match="too few neighbors"):
             res = lemma_check("circle", "sin_theta", 10, 1e-6, seed=0)
-        assert res.low_neighbor_warning
+        assert res.cell.low_neighbor_warning
 
     def test_low_neighbor_warning_points_at_caller(self):
         with pytest.warns(UserWarning, match="too few neighbors") as record:
@@ -532,8 +547,7 @@ class TestOneCellBody:
         got = lemma_check("circle", "sin_theta", 2000, eps32, seed=3)
         ref = lemma_check("circle", "sin_theta", 2000, float(eps32), seed=3)
         assert got.estimate.tobytes() == ref.estimate.tobytes()
-        assert json.dumps(record_dict(got.degree_stats)) == json.dumps(record_dict(ref.degree_stats))
-        assert got.regime == ref.regime
+        assert json.dumps(record_dict(got.cell)) == json.dumps(record_dict(ref.cell))
         for manifold in ("circle", "sphere"):
             got = degree_check(manifold, 2000, eps32, seed=np.int64(3))
             ref = degree_check(manifold, 2000, float(eps32), seed=3)
@@ -552,10 +566,7 @@ class TestOneCellBody:
     def test_lemma_check_reports_degree_checks_record(self, manifold, fn_id, tau, sampling):
         lemma = lemma_check(manifold, fn_id, 400, 0.05, seed=2, tau=tau, sampling=sampling)
         degree = degree_check(manifold, 400, 0.05, seed=2, sampling=sampling, tau=tau)
-        assert lemma.n == degree.n
-        assert lemma.degree_stats == degree.stats
-        assert lemma.regime == degree.regime
-        assert lemma.low_neighbor_warning == degree.low_neighbor_warning
+        assert lemma.cell == degree  # every field, the echoed inputs too
 
     def test_unknown_function_fails_before_sampling(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -665,7 +676,7 @@ class TestSweep:
         assert row.err_abs_median == direct.err_abs_median
         assert row.err_abs_max == direct.err_abs_max
         assert row.err_rel_median == direct.err_rel_median
-        assert row.degree_ratio_mean == direct.degree_stats.residual_mean
+        assert row.degree_ratio_mean == direct.cell.stats.residual_mean
 
     def test_permuting_lists_leaves_cell_numbers_bitwise_unchanged(self):
         rows_a = sweep(self.base_spec()).rows

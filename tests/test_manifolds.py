@@ -201,6 +201,11 @@ class TestGridSample:
         assert grid_sample("torus", 9).n_points == 9  # 3 x 3
         assert grid_sample("torus", 10).n_points == 16  # rounds up to 4 x 4
 
+    @pytest.mark.parametrize("manifold", ["circle", "sphere", "torus"])
+    def test_grid_size_is_the_grid_sample_size(self, manifold):
+        m = get_manifold(manifold)
+        assert [m.grid_size(n) for n in range(2, 400)] == [grid_sample(m, n).n_points for n in range(2, 400)]
+
     def test_torus_grid_structure(self):
         pts = grid_sample("torus", 9).points
         theta = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2 * np.pi)
